@@ -97,6 +97,14 @@ def mac_rate_bounds(channel: ChannelParams, rho_tilde: float) -> tuple[float, fl
     return sum_cap, cap1, cap2
 
 
+def _pow4(r: float) -> float:
+    """4^r, saturating to +inf where the power overflows a float."""
+    try:
+        return 4.0 ** r
+    except OverflowError:
+        return math.inf
+
+
 def check_feasibility(source: SourceParams, channel: ChannelParams, d: DistortionPair) -> FeasibilityResult:
     """Test whether any scheme could reach the distortion pair d.
 
@@ -111,7 +119,7 @@ def check_feasibility(source: SourceParams, channel: ChannelParams, d: Distortio
     r2 = conditional_rd(source, d.d2)
 
     # Sum-rate condition: 4^r_joint - 1 <= (p1 + p2 + 2 rt sqrt(p1 p2)) / n0.
-    lo = ((4.0 ** r_joint - 1.0) * channel.n0 - channel.p1 - channel.p2) / (
+    lo = ((_pow4(r_joint) - 1.0) * channel.n0 - channel.p1 - channel.p2) / (
         2.0 * math.sqrt(channel.p1 * channel.p2)
     )
     lo = max(lo, 0.0)
@@ -120,7 +128,7 @@ def check_feasibility(source: SourceParams, channel: ChannelParams, d: Distortio
     # radicand rules out every rho_tilde.
     hi = 1.0
     for r_i, p_i in ((r1, channel.p1), (r2, channel.p2)):
-        radicand = 1.0 - (4.0 ** r_i - 1.0) * channel.n0 / p_i
+        radicand = 1.0 - (_pow4(r_i) - 1.0) * channel.n0 / p_i
         if radicand < 0.0:
             return FeasibilityResult(False, None, None)
         hi = min(hi, math.sqrt(radicand))

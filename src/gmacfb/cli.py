@@ -70,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n", type=float, required=True, help="noise variance")
     sim.add_argument("--symbols", type=int, required=True, help="number of source pairs")
     sim.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"RNG seed (default {DEFAULT_SEED})")
-    sim.add_argument("--chunks", type=int, default=1, help="independent substreams")
     sim.add_argument("--json", action="store_true")
 
     sweep = sub.add_parser("sweep", help="bound-vs-scheme grid to CSV")
@@ -155,7 +154,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.symbols < 1:
         raise ParameterError("symbols must be >= 1")
     source = SourceParams(args.sigma2, args.rho)
-    cfg = SimConfig(num_blocks=args.symbols, block_len=1, seed=args.seed, chunking=args.chunks)
+    cfg = SimConfig(num_blocks=args.symbols, block_len=1, seed=args.seed)
     report = simulate_uncoded(source, args.p, args.n, cfg)
     d_u = uncoded_distortion(source, args.p, args.n)
 

@@ -76,34 +76,6 @@ class DistortionPair:
         _check_distortion(self.d1, self.d2)
 
 
-@dataclass(frozen=True)
-class SymmetricCase:
-    """Equal-power instance: both users transmit at power p over noise n0."""
-
-    source: SourceParams
-    p: float
-    n0: float
-
-    def __post_init__(self) -> None:
-        _check_channel(self.p, self.p, self.n0)
-
-    @property
-    def snr(self) -> float:
-        """Signal-to-noise ratio p / n0, recomputed on every access."""
-        return self.p / self.n0
-
-
-def validate(source: SourceParams, channel: ChannelParams) -> tuple[SourceParams, ChannelParams]:
-    """Re-check every invariant and hand the bundle back unchanged.
-
-    Constructors already validate; this exists so callers holding
-    deserialized or otherwise tampered objects can re-assert soundness.
-    """
-    _check_source(source.sigma2, source.rho)
-    _check_channel(channel.p1, channel.p2, channel.n0)
-    return source, channel
-
-
 def snr_threshold(source: SourceParams) -> float:
     """SNR below which uncoded transmission is optimal: rho / (1 - rho^2).
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 
 from .model import DistortionPair, ParameterError, SourceParams
 
@@ -72,7 +73,11 @@ def joint_rd(source: SourceParams, d: DistortionPair) -> float:
         return 0.5 * math.log2(s2 / min(d1, d2))
     region = classify_region(source, d)
     if region is Region.A:
-        return 0.5 * math.log2(s2 * s2 * (1.0 - rho * rho) / (d1 * d2))
+        prod = d1 * d2
+        if prod < sys.float_info.min:
+            # The product underflows; sum the logs instead.
+            return 0.5 * (math.log2(s2 / d1) + math.log2(s2 / d2) + math.log2(1.0 - rho * rho))
+        return 0.5 * math.log2(s2 * s2 * (1.0 - rho * rho) / prod)
     if region is Region.B:
         gap = rho * s2 - math.sqrt((s2 - d1) * (s2 - d2))
         den = d1 * d2 - gap * gap

@@ -12,9 +12,13 @@ then jointly Gaussian and memoryless, the per-symbol linear estimator
 c * y is the exact conditional mean, and the simulator's empirical
 distortions can be checked against the closed-form prediction.
 
-Reproducibility: every chunk of blocks draws from its own generator seeded
-by (seed, chunk index), so the same configuration always produces the same
-report, chunk by chunk, regardless of execution order.
+The run streams through fixed batches of whole blocks, about 2^16 symbols
+each, so memory stays bounded whatever the length. Batch b draws from its
+own generator seeded by (seed, b); the report therefore depends only on the
+configuration and the seed, and there is no tuning knob that changes the
+random stream. Each batch is reduced to per-block (count, mean, M2)
+moments, which are folded into one running accumulator with the parallel
+update of Chan, Golub & LeVeque (1979).
 """
 
 from __future__ import annotations
@@ -28,6 +32,9 @@ import numpy as np
 from .model import ParameterError, SourceParams
 
 DEFAULT_SEED = 123456789
+
+# Symbols per batch: fixed, so it never changes the random stream.
+_BATCH_SYMBOLS = 1 << 16
 
 
 class SimulationError(RuntimeError):
@@ -76,17 +83,15 @@ class UncodedEncoder(FeedbackEncoder):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Monte Carlo run shape: num_blocks blocks of block_len symbols each,
-    split over `chunking` independently seeded substreams."""
+    """Monte Carlo run shape: num_blocks blocks of block_len symbols each."""
 
     num_blocks: int
     block_len: int = 1
     seed: int = DEFAULT_SEED
-    chunking: int = 1
 
     def __post_init__(self) -> None:
-        if self.num_blocks < 1 or self.block_len < 1 or self.chunking < 1:
-            raise ParameterError("num_blocks, block_len and chunking must all be >= 1")
+        if self.num_blocks < 1 or self.block_len < 1:
+            raise ParameterError("num_blocks and block_len must both be >= 1")
         if not (0 <= self.seed < 2 ** 64):
             raise ParameterError("seed must fit in 64 bits")
 
@@ -207,79 +212,68 @@ def mmse_decode_uncoded(
     return est, est
 
 
-def _chunk_sizes(num_blocks: int, chunking: int) -> list[int]:
-    base, extra = divmod(num_blocks, chunking)
-    return [base + (1 if c < extra else 0) for c in range(chunking)]
+_Moments = tuple[int, np.ndarray, np.ndarray]
+
+
+def _moments(rows: np.ndarray) -> _Moments:
+    """(count, mean, M2) of each row, M2 being the sum of squared deviations."""
+    mean = rows.mean(axis=-1)
+    dev = rows - mean[..., None]
+    return rows.shape[-1], mean, np.einsum("...i,...i->...", dev, dev)
+
+
+def _merge(a: _Moments, b: _Moments) -> _Moments:
+    """Combine the moments of two disjoint samples (Chan, Golub & LeVeque)."""
+    n_a, mean_a, m2_a = a
+    n_b, mean_b, m2_b = b
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return n, mean_a + delta * (n_b / n), m2_a + m2_b + delta * delta * (n_a * n_b / n)
 
 
 def simulate_uncoded(source: SourceParams, p: float, n0: float, cfg: SimConfig) -> SimReport:
     """Full pipeline: draw sources, run the channel with uncoded encoders,
-    decode, and fold per-chunk statistics in chunk order."""
+    decode, and fold per-block statistics batch by batch.
+
+    Each block contributes its mean squared errors, mean powers and mean
+    cross product x1 x2. Blocks have equal length, so the mean over blocks
+    is the mean over symbols, and the across-block spread gives the
+    standard errors.
+    """
     enc = UncodedEncoder.for_power(p, source.sigma2)
-
-    sum_e1 = sum_e2 = 0.0          # squared reconstruction errors
-    bm1_sum = bm1_sq = 0.0         # per-block mean squared error moments
-    bm2_sum = bm2_sq = 0.0
-    sum_x1sq = sum_x2sq = sum_x1x2 = 0.0
-    pm1_sum = pm1_sq = 0.0         # per-block mean power moments
-    pm2_sum = pm2_sq = 0.0
-
     # With a single block the across-block spread is undefined; fall back
     # to per-symbol statistics, which describe the same iid draws.
     per_symbol = cfg.num_blocks < 2
+    batch_blocks = max(1, _BATCH_SYMBOLS // cfg.block_len)
 
-    for chunk, blocks in enumerate(_chunk_sizes(cfg.num_blocks, cfg.chunking)):
-        if blocks == 0:
-            continue
-        rng = np.random.default_rng((cfg.seed, chunk))
-        n = blocks * cfg.block_len
-        s1, s2 = gen_source(source, n, rng)
+    # Per-symbol rows e1, e2, x1^2, x2^2, x1 x2, refilled in place each
+    # batch: reusing one buffer is several times faster than fresh temporaries.
+    buf = np.empty((5, batch_blocks * cfg.block_len))
+    acc: _Moments = (0, np.zeros(5), np.zeros(5))
+    for batch, first in enumerate(range(0, cfg.num_blocks, batch_blocks)):
+        blocks = min(batch_blocks, cfg.num_blocks - first)
+        rng = np.random.default_rng((cfg.seed, batch))
+        s1, s2 = gen_source(source, blocks * cfg.block_len, rng)
         y, x1, x2 = run_channel(enc, enc, s1, s2, n0, rng)
         s1_hat, s2_hat = mmse_decode_uncoded(source, p, n0, y)
 
-        e1 = (s1 - s1_hat) ** 2
-        e2 = (s2 - s2_hat) ** 2
-        w1 = x1 * x1
-        w2 = x2 * x2
-        sum_e1 += float(e1.sum())
-        sum_e2 += float(e2.sum())
-        sum_x1sq += float(w1.sum())
-        sum_x2sq += float(w2.sum())
-        sum_x1x2 += float((x1 * x2).sum())
+        rows = buf[:, : len(y)]
+        np.subtract(s1, s1_hat, out=rows[0])
+        np.subtract(s2, s2_hat, out=rows[1])
+        np.square(rows[:2], out=rows[:2])
+        np.multiply(x1, x1, out=rows[2])
+        np.multiply(x2, x2, out=rows[3])
+        np.multiply(x1, x2, out=rows[4])
+        if not per_symbol and cfg.block_len > 1:
+            rows = rows.reshape(5, blocks, cfg.block_len).mean(axis=2)
+        acc = _merge(acc, _moments(rows))
 
-        if per_symbol:
-            b1, b2, q1, q2 = e1, e2, w1, w2
-        else:
-            b1 = e1.reshape(blocks, cfg.block_len).mean(axis=1)
-            b2 = e2.reshape(blocks, cfg.block_len).mean(axis=1)
-            q1 = w1.reshape(blocks, cfg.block_len).mean(axis=1)
-            q2 = w2.reshape(blocks, cfg.block_len).mean(axis=1)
-        bm1_sum += float(b1.sum())
-        bm1_sq += float((b1 * b1).sum())
-        bm2_sum += float(b2.sum())
-        bm2_sq += float((b2 * b2).sum())
-        pm1_sum += float(q1.sum())
-        pm1_sq += float((q1 * q1).sum())
-        pm2_sum += float(q2.sum())
-        pm2_sq += float((q2 * q2).sum())
-
-    n_total = cfg.total_symbols
-    nb = n_total if per_symbol else cfg.num_blocks
-
-    def block_stderr(m_sum: float, m_sq: float) -> float:
-        if nb < 2:
-            return 0.0
-        var = max(m_sq - m_sum * m_sum / nb, 0.0) / (nb - 1)
-        return math.sqrt(var / nb)
-
-    d1_hat = sum_e1 / n_total
-    d2_hat = sum_e2 / n_total
-    p1_hat = sum_x1sq / n_total
-    p2_hat = sum_x2sq / n_total
-    stderr_p1 = block_stderr(pm1_sum, pm1_sq)
-    stderr_p2 = block_stderr(pm2_sum, pm2_sq)
-    denom = math.sqrt(sum_x1sq * sum_x2sq)
-    rho_tilde_hat = abs(sum_x1x2) / denom if denom > 0.0 else 0.0
+    nb, mean, m2 = acc
+    stderr = np.sqrt(m2 / (nb - 1) / nb) if nb > 1 else np.zeros(5)
+    d1_hat, d2_hat, p1_hat, p2_hat, cross = mean.tolist()
+    stderr_d1, stderr_d2, stderr_p1, stderr_p2, _ = stderr.tolist()
+    denom = math.sqrt(p1_hat * p2_hat)
+    rho_tilde_hat = abs(cross) / denom if denom > 0.0 else 0.0
 
     return SimReport(
         d1_hat=d1_hat,
@@ -287,11 +281,11 @@ def simulate_uncoded(source: SourceParams, p: float, n0: float, cfg: SimConfig) 
         p1_hat=p1_hat,
         p2_hat=p2_hat,
         rho_tilde_hat=rho_tilde_hat,
-        stderr_d1=block_stderr(bm1_sum, bm1_sq),
-        stderr_d2=block_stderr(bm2_sum, bm2_sq),
+        stderr_d1=stderr_d1,
+        stderr_d2=stderr_d2,
         stderr_p1=stderr_p1,
         stderr_p2=stderr_p2,
         p1_flagged=p1_hat > p + 4.0 * stderr_p1,
         p2_flagged=p2_hat > p + 4.0 * stderr_p2,
-        total_symbols=n_total,
+        total_symbols=cfg.total_symbols,
     )

@@ -73,6 +73,13 @@ class TestCheckFeasibility:
         assert not res.feasible
         assert res.rho_interval is None and res.witness is None
 
+    def test_overflowing_rate_is_infeasible(self):
+        # 4^r overflows a float at these targets; that reads as infinite
+        # required power, not an error.
+        ch = ChannelParams(1.0, 1.0, 1.0)
+        res = check_feasibility(HALF, ch, DistortionPair(1e-300, 1e-300))
+        assert not res.feasible
+
     def test_zero_rate_admits_everything(self):
         src = SourceParams(1.0, 0.0)
         res = check_feasibility(src, ChannelParams(0.3, 5.0, 2.0), DistortionPair(1.0, 1.0))

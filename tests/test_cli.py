@@ -83,6 +83,15 @@ class TestBound:
         assert code == 0
         assert "feasible = false" in out
 
+    def test_extreme_targets_are_infeasible_not_a_traceback(self):
+        proc = run_subprocess([
+            "bound", "--sigma2", "1", "--rho", "0.5", "--n", "1",
+            "--p1", "1", "--p2", "1", "--d1", "1e-300", "--d2", "1e-300",
+        ])
+        assert proc.returncode == 0
+        assert proc.stdout == "feasible = false\n"
+        assert proc.stderr == ""
+
     def test_general_feasible_reports_interval(self):
         code, out = run_inprocess([
             "bound", "--sigma2", "1", "--rho", "0.5", "--n", "1",
@@ -160,12 +169,21 @@ class TestSimulate:
         assert "disagrees" in proc.stderr
 
     def test_chunked_run_accepted(self):
+        # 200,000 symbols stream through four fixed batches.
         code, out = run_inprocess([
             "simulate", "--sigma2", "1", "--rho", "0.5", "--p", "1", "--n", "1",
-            "--symbols", "60000", "--seed", "3", "--chunks", "6", "--json",
+            "--symbols", "200000", "--seed", "3", "--json",
         ])
         assert code == 0
-        assert json.loads(out)["total_symbols"] == 60000
+        assert json.loads(out)["total_symbols"] == 200000
+
+    def test_chunks_flag_removed(self):
+        proc = run_subprocess([
+            "simulate", "--sigma2", "1", "--rho", "0.5", "--p", "1", "--n", "1",
+            "--symbols", "1000", "--chunks", "2",
+        ])
+        assert proc.returncode == 2
+        assert "--chunks" in proc.stderr
 
 
 class TestSweepCommand:

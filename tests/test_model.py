@@ -7,9 +7,7 @@ from gmacfb import (
     DistortionPair,
     ParameterError,
     SourceParams,
-    SymmetricCase,
     snr_threshold,
-    validate,
 )
 
 
@@ -55,35 +53,6 @@ class TestDistortionPair:
     def test_rejects_nonpositive(self, d1, d2):
         with pytest.raises(ParameterError):
             DistortionPair(d1, d2)
-
-
-class TestSymmetricCase:
-    def test_snr_is_recomputed_ratio(self):
-        case = SymmetricCase(SourceParams(1.0, 0.5), p=2.0, n0=0.5)
-        assert case.snr == 4.0
-
-    def test_rejects_bad_power(self):
-        with pytest.raises(ParameterError):
-            SymmetricCase(SourceParams(1.0, 0.5), p=0.0, n0=1.0)
-
-
-class TestValidate:
-    def test_returns_bundle_unchanged(self):
-        src = SourceParams(1.0, 0.5)
-        ch = ChannelParams(1.0, 1.0, 1.0)
-        assert validate(src, ch) == (src, ch)
-
-    def test_catches_tampered_source(self):
-        src = SourceParams(1.0, 0.5)
-        object.__setattr__(src, "rho", 1.5)   # bypass the frozen constructor
-        with pytest.raises(ParameterError, match="rho out of range"):
-            validate(src, ChannelParams(1.0, 1.0, 1.0))
-
-    def test_catches_tampered_channel(self):
-        ch = ChannelParams(1.0, 1.0, 1.0)
-        object.__setattr__(ch, "n0", -1.0)
-        with pytest.raises(ParameterError, match="n0 must be positive"):
-            validate(SourceParams(1.0, 0.5), ch)
 
 
 class TestSnrThreshold:

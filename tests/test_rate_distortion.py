@@ -102,6 +102,17 @@ class TestJointRd:
         diag = [joint_rd(HALF, DistortionPair(d, d)) for d in np.linspace(0.01, 1.0, 120)]
         assert all(b < a for a, b in zip(diag, diag[1:]))
 
+    def test_underflowing_product_uses_log_sum(self):
+        # d1 * d2 underflows to zero here; the rate must stay finite and
+        # continue the region-A formula evaluated where the product is normal.
+        def log_sum(d1, d2):
+            return 0.5 * (math.log2(1.0 / d1) + math.log2(1.0 / d2) + math.log2(0.75))
+
+        assert joint_rd(HALF, DistortionPair(1e-300, 1e-300)) == pytest.approx(
+            log_sum(1e-300, 1e-300), rel=1e-15)
+        assert joint_rd(HALF, DistortionPair(1e-150, 1e-150)) == pytest.approx(
+            log_sum(1e-150, 1e-150), rel=1e-12)
+
     def test_scale_invariance(self):
         big = SourceParams(2.0, 0.5)
         for d1, d2 in [(0.3, 0.3), (0.5, 0.6), (0.2, 0.9)]:

@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmacfb import (
     ParameterError,
@@ -18,7 +21,7 @@ from gmacfb import (
     simulate_uncoded,
     uncoded_distortion,
 )
-from gmacfb.simulate import FeedbackEncoder
+from gmacfb.simulate import _BATCH_SYMBOLS, FeedbackEncoder, _merge, _moments
 
 HALF = SourceParams(1.0, 0.5)
 
@@ -217,7 +220,6 @@ class TestSimConfig:
     @pytest.mark.parametrize("kwargs", [
         {"num_blocks": 0},
         {"num_blocks": 5, "block_len": 0},
-        {"num_blocks": 5, "chunking": 0},
         {"num_blocks": 5, "seed": -1},
         {"num_blocks": 5, "seed": 2 ** 64},
     ])
@@ -239,33 +241,33 @@ class TestSimulateUncoded:
         assert not rep.p1_flagged and not rep.p2_flagged
 
     def test_deterministic_for_identical_config(self):
-        cfg = SimConfig(num_blocks=50_000, seed=99, chunking=4)
+        cfg = SimConfig(num_blocks=150_000, seed=99)
         assert simulate_uncoded(HALF, 1.0, 1.0, cfg) == simulate_uncoded(HALF, 1.0, 1.0, cfg)
 
-    def test_chunking_changes_stream_but_not_statistics(self):
-        one = simulate_uncoded(HALF, 1.0, 1.0, SimConfig(num_blocks=200_000, seed=5, chunking=1))
-        many = simulate_uncoded(HALF, 1.0, 1.0, SimConfig(num_blocks=200_000, seed=5, chunking=8))
-        assert one != many
+    def test_multi_batch_run_passes_gate(self):
+        rep = simulate_uncoded(HALF, 1.0, 1.0, SimConfig(num_blocks=200_000, seed=5))
         d_u = uncoded_distortion(HALF, 1.0, 1.0)
-        for rep in (one, many):
-            assert abs(rep.d1_hat - d_u) <= 4.0 * rep.stderr_d1
+        assert abs(rep.d1_hat - d_u) <= 4.0 * rep.stderr_d1
+        assert abs(rep.d2_hat - d_u) <= 4.0 * rep.stderr_d2
+        # each squared error is D_u times a chi-square with one degree of freedom
+        assert rep.stderr_d1 == pytest.approx(d_u * math.sqrt(2.0 / 200_000), rel=0.05)
 
     def test_input_correlation_equals_source_correlation(self):
         # x_i = gain * s_i, so the input correlation statistic must match
-        # the source correlation statistic to rounding error.
-        cfg = SimConfig(num_blocks=100_000, seed=3, chunking=3)
+        # the source correlation statistic to rounding error. 200,000
+        # symbols span four batches, each seeded by (seed, batch index).
+        cfg = SimConfig(num_blocks=200_000, seed=3)
         rep = simulate_uncoded(HALF, 2.0, 1.0, cfg)
         num = 0.0
         den1 = 0.0
         den2 = 0.0
-        from gmacfb.simulate import _chunk_sizes
-
-        for chunk, blocks in enumerate(_chunk_sizes(cfg.num_blocks, cfg.chunking)):
-            rng = np.random.default_rng((cfg.seed, chunk))
-            s1, s2 = gen_source(HALF, blocks * cfg.block_len, rng)
+        for batch, first in enumerate(range(0, cfg.num_blocks, _BATCH_SYMBOLS)):
+            rng = np.random.default_rng((cfg.seed, batch))
+            s1, s2 = gen_source(HALF, min(_BATCH_SYMBOLS, cfg.num_blocks - first), rng)
             num += float(np.dot(s1, s2))
             den1 += float(np.dot(s1, s1))
             den2 += float(np.dot(s2, s2))
+        assert batch == 3
         source_corr = abs(num) / math.sqrt(den1 * den2)
         assert rep.rho_tilde_hat == pytest.approx(source_corr, abs=1e-12)
 
@@ -300,3 +302,55 @@ class TestSimulateUncoded:
             dataclasses.replace(rep, d1_hat=math.nan)
         with pytest.raises(SimulationError):
             dataclasses.replace(rep, p1_hat=-0.1)
+
+    @pytest.mark.parametrize("num_blocks", [1 << 20, 1 << 22])
+    def test_memory_bounded_independent_of_length(self, num_blocks):
+        tracemalloc.start()
+        try:
+            simulate_uncoded(HALF, 1.0, 1.0, SimConfig(num_blocks=num_blocks, seed=4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+
+def _fold_pieces(data, cuts):
+    """Moments of data folded piece by piece, split at the given fractions."""
+    points = sorted({int(c * len(data)) for c in cuts} - {0, len(data)})
+    pieces = np.split(data, points)
+    acc = _moments(pieces[0])
+    for piece in pieces[1:]:
+        acc = _merge(acc, _moments(piece))
+    return acc
+
+
+class TestMerge:
+    pieces = dict(
+        seed=st.integers(0, 2 ** 32 - 1),
+        n=st.integers(2, 5000),
+        cuts=st.lists(st.floats(0.0, 1.0), max_size=8),
+    )
+
+    def _check(self, data, cuts, rel):
+        count, mean, m2 = _fold_pieces(data, cuts)
+        assert count == len(data)
+        assert mean == pytest.approx(np.mean(data), rel=rel)
+        assert m2 == pytest.approx(np.var(data) * len(data), rel=rel)
+
+    @settings(max_examples=200, deadline=None)
+    @given(**pieces)
+    def test_matches_numpy_on_zero_mean_data(self, seed, n, cuts):
+        data = np.random.default_rng(seed).standard_normal(n)
+        self._check(data, cuts, rel=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(**pieces)
+    def test_matches_numpy_under_large_offset(self, seed, n, cuts):
+        # Raw sums of squares cancel catastrophically at this offset.
+        data = 1e8 + np.random.default_rng(seed).standard_normal(n)
+        self._check(data, cuts, rel=1e-6)
+
+    def test_empty_left_operand_is_identity(self):
+        data = np.array([1.0, 2.0, 4.0])
+        count, mean, m2 = _merge((0, 0.0, 0.0), _moments(data))
+        assert (count, mean, m2) == _moments(data)
