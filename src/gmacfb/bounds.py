@@ -24,6 +24,7 @@ reported.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .model import ChannelParams, DistortionPair, ParameterError, SourceParams, snr_threshold
@@ -37,6 +38,9 @@ _INTERVAL_SLACK = 1e-9
 # Relative slack for "at or below the SNR threshold" comparisons, so that a
 # threshold recomputed through p = snr * n0 still counts as below.
 _THRESHOLD_RTOL = 1e-12
+
+# Largest p/n0 the curves accept: they evaluate up to 1 + 4 p/n0.
+_MAX_SNR = sys.float_info.max / 4.0
 
 
 @dataclass(frozen=True)
@@ -68,16 +72,23 @@ class BoundResult:
 
 def _check_rho_tilde(rho_tilde: float) -> float:
     rt = float(rho_tilde)
-    if not (math.isfinite(rt) and 0.0 <= rt <= 1.0):
+    if not 0.0 <= rt <= 1.0:  # also rejects nan
         raise ParameterError("rho_tilde out of range [0, 1]")
     return rt
 
 
-def _check_power_noise(p: float, n0: float) -> None:
-    if not (math.isfinite(p) and p > 0.0):
+def _check_power_noise(p: float, n0: float) -> float:
+    """Validate p and n0 and return snr = p / n0, through which alone
+    the curves depend on them."""
+    # Chained comparisons also reject nan; they run on every curve call.
+    if not 0.0 < p < math.inf:
         raise ParameterError("p must be positive and finite")
-    if not (math.isfinite(n0) and n0 > 0.0):
+    if not 0.0 < n0 < math.inf:
         raise ParameterError("n0 must be positive and finite")
+    snr = p / n0
+    if snr > _MAX_SNR:
+        raise ParameterError("p / n0 too large: 4 p / n0 overflows")
+    return snr
 
 
 def mac_rate_bounds(channel: ChannelParams, rho_tilde: float) -> tuple[float, float, float]:
@@ -149,13 +160,13 @@ def sum_rate_curve(source: SourceParams, p: float, n0: float, rho_tilde: float) 
     in rho_tilde.
     """
     rt = _check_rho_tilde(rho_tilde)
-    _check_power_noise(p, n0)
+    snr = _check_power_noise(p, n0)
     s2 = source.sigma2
     rho = source.rho
-    den = n0 + 2.0 * p * (1.0 + rt)
-    if rho >= 1.0 or p / n0 <= snr_threshold(source):
-        return 0.5 * (n0 * s2 * (1.0 + rho) / den + s2 * (1.0 - rho))
-    return s2 * math.sqrt(n0 * (1.0 - rho * rho) / den)
+    den = 1.0 + 2.0 * snr * (1.0 + rt)
+    if rho >= 1.0 or snr <= snr_threshold(source):
+        return 0.5 * (s2 * (1.0 + rho) / den + s2 * (1.0 - rho))
+    return s2 * math.sqrt((1.0 - rho * rho) / den)
 
 
 def single_user_curve(source: SourceParams, p: float, n0: float, rho_tilde: float) -> float:
@@ -164,8 +175,8 @@ def single_user_curve(source: SourceParams, p: float, n0: float, rho_tilde: floa
     Nondecreasing in rho_tilde: correlated inputs choke the private rate.
     """
     rt = _check_rho_tilde(rho_tilde)
-    _check_power_noise(p, n0)
-    return source.sigma2 * n0 * (1.0 - source.rho ** 2) / (n0 + p * (1.0 - rt * rt))
+    snr = _check_power_noise(p, n0)
+    return source.sigma2 * (1.0 - source.rho ** 2) / (1.0 + snr * (1.0 - rt * rt))
 
 
 def endpoint_snr_threshold(source: SourceParams) -> float:
@@ -184,49 +195,43 @@ def minimax_lower_bound(source: SourceParams, p: float, n0: float) -> BoundResul
     [0, 1]. Since one curve is nonincreasing and the other nondecreasing,
     the minimum is at rho_tilde = 1 when p/n0 is at or below
     `endpoint_snr_threshold`, and otherwise at the unique crossing, which
-    bisection locates to |difference| <= 1e-12 * sigma2 (or to float
-    granularity when the curves are too steep for that, in which case the
-    returned value is still a valid bound).
+    bisection locates to |difference| <= 1e-12 times the curve value (or
+    to float granularity in rho_tilde when the curves are too steep for
+    that).
     """
-    _check_power_noise(p, n0)
-    tol = 1e-12 * source.sigma2
+    snr = _check_power_noise(p, n0)
 
-    if p / n0 <= endpoint_snr_threshold(source):
+    if snr <= endpoint_snr_threshold(source):
         return BoundResult(sum_rate_curve(source, p, n0, 1.0), 1.0, "endpoint")
 
-    def gap(rt: float) -> float:
-        return sum_rate_curve(source, p, n0, rt) - single_user_curve(source, p, n0, rt)
+    def curves(rt: float) -> tuple[float, float]:
+        return sum_rate_curve(source, p, n0, rt), single_user_curve(source, p, n0, rt)
 
-    g_lo = gap(0.0)
-    g_hi = gap(1.0)
-    if g_lo <= 0.0:
-        # The increasing curve already dominates at rho_tilde = 0; no
-        # crossing exists. Not reachable for valid parameters.
-        if g_lo == 0.0:
-            return BoundResult(single_user_curve(source, p, n0, 0.0), 0.0, "crossing")
-        raise ArithmeticError("no crossing found")
-    if g_hi >= 0.0:
+    upper, lower = curves(0.0)
+    if upper <= lower:
+        # The increasing curve already dominates at rho_tilde = 0, which
+        # only rounding causes (snr and rho near 0): the minimax is there.
+        return BoundResult(lower, 0.0, "crossing")
+    upper, lower = curves(1.0)
+    if upper >= lower:
         # Numerically at the endpoint threshold despite the test above.
-        return BoundResult(sum_rate_curve(source, p, n0, 1.0), 1.0, "endpoint")
+        return BoundResult(upper, 1.0, "endpoint")
 
     lo, hi = 0.0, 1.0
-    best_rt, best_gap = 0.5, math.inf
+    best_rt, best_gap, best_value = 0.5, math.inf, math.nan
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        g_mid = gap(mid)
+        upper, lower = curves(mid)
+        g_mid = upper - lower
         if abs(g_mid) < abs(best_gap):
-            best_rt, best_gap = mid, g_mid
-        if abs(g_mid) <= tol or hi - lo <= 1e-17:
+            best_rt, best_gap, best_value = mid, g_mid, upper if g_mid > 0.0 else lower
+        if abs(g_mid) <= 1e-12 * lower or hi - lo <= 1e-17:
             break
         if g_mid > 0.0:
             lo = mid
         else:
             hi = mid
-    value = max(
-        sum_rate_curve(source, p, n0, best_rt),
-        single_user_curve(source, p, n0, best_rt),
-    )
-    return BoundResult(value, best_rt, "crossing")
+    return BoundResult(best_value, best_rt, "crossing")
 
 
 def below_snr_threshold(source: SourceParams, p: float, n0: float) -> bool:
@@ -244,10 +249,10 @@ def uncoded_distortion(source: SourceParams, p: float, n0: float) -> float:
     Valid at any SNR as an achievable upper bound; it equals the optimum
     exactly when p/n0 is at or below the SNR threshold.
     """
-    _check_power_noise(p, n0)
+    snr = _check_power_noise(p, n0)
     s2 = source.sigma2
     rho = source.rho
-    return s2 * (p * (1.0 - rho * rho) + n0) / (2.0 * p * (1.0 + rho) + n0)
+    return s2 * (snr * (1.0 - rho * rho) + 1.0) / (2.0 * snr * (1.0 + rho) + 1.0)
 
 
 def dstar_below_threshold(source: SourceParams, p: float, n0: float) -> float:

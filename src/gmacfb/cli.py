@@ -5,7 +5,7 @@ bounds), simulate (Monte Carlo vs the closed form), sweep (CSV grids),
 verify (the full criteria suite). Every command has a --json twin carrying
 the same numbers at full double precision; text output uses nine
 significant digits. Exit codes: 0 success, 1 verification or statistical
-failure, 2 usage error.
+failure, 2 usage error or input beyond the numeric range (one `error:` line).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 from .bounds import check_feasibility, minimax_lower_bound, uncoded_distortion
 from .model import ChannelParams, DistortionPair, ParameterError, SourceParams
 from .rate_distortion import classify_region, conditional_rd, joint_rd
-from .simulate import DEFAULT_SEED, SimConfig, simulate_uncoded
+from .simulate import DEFAULT_SEED, SimConfig, SimulationError, simulate_uncoded
 from .sweep import SweepSpec, write_sweep_csv
 from .verification import run_criteria
 
@@ -90,26 +90,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_rd(args: argparse.Namespace) -> int:
+# A handler returns (payload, text lines, failure): main prints the payload
+# as JSON under --json and the lines otherwise, then reports a non-empty
+# failure message on stderr with exit code 1.
+_Outcome = tuple[object, list[str], str | None]
+
+
+def _cmd_rd(args: argparse.Namespace) -> _Outcome:
     source = SourceParams(args.sigma2, args.rho)
     pair = DistortionPair(args.d1, args.d2)
-    region = classify_region(source, pair)
     payload = {
-        "region": region.value,
+        "region": classify_region(source, pair).value,
         "joint_bits": joint_rd(source, pair),
         "cond1_bits": conditional_rd(source, args.d1),
         "cond2_bits": conditional_rd(source, args.d2),
     }
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(f"region = {payload['region']}")
-        for key in ("joint_bits", "cond1_bits", "cond2_bits"):
-            print(f"{key} = {_fmt(payload[key])}")
-    return 0
+    lines = [f"region = {payload['region']}"]
+    lines += [f"{key} = {_fmt(payload[key])}" for key in ("joint_bits", "cond1_bits", "cond2_bits")]
+    return payload, lines, None
 
 
-def _cmd_bound(args: argparse.Namespace) -> int:
+def _cmd_bound(args: argparse.Namespace) -> _Outcome:
     general_flags = [args.p1, args.p2, args.d1, args.d2]
     if args.p is not None and any(v is not None for v in general_flags):
         raise ParameterError("use either --p (symmetric) or --p1/--p2/--d1/--d2 (general), not both")
@@ -124,13 +125,12 @@ def _cmd_bound(args: argparse.Namespace) -> int:
             "rho_star": res.rho_star,
             "active": res.active,
         }
-        if args.json:
-            print(json.dumps(payload))
-        else:
-            print(f"lower_bound = {_fmt(res.lower_bound)}")
-            print(f"rho_star = {_fmt(res.rho_star)}")
-            print(f"active = {res.active}")
-        return 0
+        lines = [
+            f"lower_bound = {_fmt(res.lower_bound)}",
+            f"rho_star = {_fmt(res.rho_star)}",
+            f"active = {res.active}",
+        ]
+        return payload, lines, None
 
     channel = ChannelParams(args.p1, args.p2, args.n)
     res = check_feasibility(source, channel, DistortionPair(args.d1, args.d2))
@@ -139,18 +139,17 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         "rho_interval": list(res.rho_interval) if res.rho_interval else None,
         "witness": res.witness,
     }
-    if args.json:
-        print(json.dumps(payload))
-    elif res.feasible:
-        print("feasible = true")
-        print(f"rho_interval = [{_fmt(res.rho_interval[0])}, {_fmt(res.rho_interval[1])}]")
-        print(f"witness = {_fmt(res.witness)}")
-    else:
-        print("feasible = false")
-    return 0
+    if not res.feasible:
+        return payload, ["feasible = false"], None
+    lines = [
+        "feasible = true",
+        f"rho_interval = [{_fmt(res.rho_interval[0])}, {_fmt(res.rho_interval[1])}]",
+        f"witness = {_fmt(res.witness)}",
+    ]
+    return payload, lines, None
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> _Outcome:
     if args.symbols < 1:
         raise ParameterError("symbols must be >= 1")
     source = SourceParams(args.sigma2, args.rho)
@@ -167,24 +166,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     z2 = z_score(report.d2_hat, report.stderr_d2)
     payload = dataclasses.asdict(report)
     payload.update({"d_uncoded": d_u, "z1": z1, "z2": z2, "seed": args.seed})
-    if args.json:
-        print(json.dumps(payload))
-    else:
+    lines = [
+        f"{key} = {_fmt(payload[key])}"
         for key in (
             "d1_hat", "d2_hat", "stderr_d1", "stderr_d2",
-            "p1_hat", "p2_hat", "rho_tilde_hat",
-        ):
-            print(f"{key} = {_fmt(getattr(report, key))}")
-        print(f"d_uncoded = {_fmt(d_u)}")
-        print(f"z1 = {_fmt(z1)}")
-        print(f"z2 = {_fmt(z2)}")
+            "p1_hat", "p2_hat", "rho_tilde_hat", "d_uncoded", "z1", "z2",
+        )
+    ]
+    failure = None
     if max(abs(z1), abs(z2)) > 4.0:
-        print("simulation disagrees with the analytic uncoded distortion (|z| > 4)", file=sys.stderr)
-        return 1
-    return 0
+        failure = "simulation disagrees with the analytic uncoded distortion (|z| > 4)"
+    return payload, lines, failure
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> _Outcome:
     spec = SweepSpec(
         rho_grid=args.rho_grid,
         snr_grid=args.snr_grid,
@@ -192,26 +187,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         n0=args.n,
     )
     rows = write_sweep_csv(spec, args.out)
-    if args.json:
-        print(json.dumps({"path": args.out, "rows": rows}))
-    else:
-        print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
+    return {"path": args.out, "rows": rows}, [f"wrote {len(rows)} rows to {args.out}"], None
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> _Outcome:
     results = run_criteria(args.scale)
-    if args.json:
-        print(json.dumps([dataclasses.asdict(r) for r in results]))
-    else:
-        for res in results:
-            status = "PASS" if res.passed else "FAIL"
-            print(f"{status} {res.name}: {res.detail}")
+    lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
     failed = [r.name for r in results if not r.passed]
-    if failed:
-        print(f"verification failed: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    return 0
+    failure = f"verification failed: {', '.join(failed)}" if failed else None
+    return [dataclasses.asdict(r) for r in results], lines, failure
 
 
 _HANDLERS = {
@@ -227,13 +211,22 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
-    except ParameterError as exc:
+        payload, lines, failure = _HANDLERS[args.command](args)
+    except (ParameterError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.json:
+        print(json.dumps(payload))
+    else:
+        for line in lines:
+            print(line)
+    if failure:
+        print(failure, file=sys.stderr)
+        return 1
+    return 0
 
 
 def run() -> None:

@@ -1,10 +1,12 @@
 """Monte Carlo simulation of the two-user Gaussian channel with feedback.
 
-The channel is driven symbol by symbol: at time k each encoder sees its own
-source block and every past channel output, produces one real input, and
-the receiver observes the sum of both inputs plus fresh Gaussian noise.
-Causality is structural; the harness only ever hands an encoder the
-outputs strictly before the current instant.
+The channel runs in blocks of block_len uses, many blocks side by side: at
+time k each encoder sees its own source block and that block's outputs
+0..k-1, produces one real input per block, and the receiver observes the
+sum of both inputs plus fresh Gaussian noise. Causality is structural; the
+harness only ever hands an encoder the outputs of its own block strictly
+before the current instant, and the loop over k runs block_len times
+however many blocks there are.
 
 Only the uncoded encoder ships: it sends a scaled copy of the current
 source symbol and ignores the feedback entirely. Because everything is
@@ -42,21 +44,13 @@ class SimulationError(RuntimeError):
 
 
 class FeedbackEncoder(abc.ABC):
-    """One transmitter: maps (own source block, past outputs, time) to a symbol.
-
-    Subclasses that never read the feedback should set uses_feedback to
-    False and provide encode_block; the channel then computes the whole
-    input vector in one shot, with arithmetic identical to the loop.
-    """
-
-    uses_feedback: bool = True
+    """One transmitter: maps (own source blocks, past outputs, time) to the
+    channel inputs of time k, one per block."""
 
     @abc.abstractmethod
-    def emit(self, source_block: np.ndarray, past_outputs: np.ndarray, k: int) -> float:
-        """Channel input at time k, given outputs 0..k-1 only."""
-
-    def encode_block(self, source_block: np.ndarray) -> np.ndarray:
-        raise NotImplementedError("feedback-dependent encoder has no block form")
+    def emit(self, source: np.ndarray, past_outputs: np.ndarray, k: int) -> np.ndarray:
+        """Column k of the inputs, given the (blocks, block_len) source and
+        each block's own outputs 0..k-1 as a (blocks, k) array."""
 
 
 @dataclass(frozen=True)
@@ -66,19 +60,14 @@ class UncodedEncoder(FeedbackEncoder):
 
     gain: float
 
-    uses_feedback = False
-
     @classmethod
     def for_power(cls, p: float, sigma2: float) -> "UncodedEncoder":
         if not (math.isfinite(p) and p > 0.0 and math.isfinite(sigma2) and sigma2 > 0.0):
             raise ParameterError("power and variance must be positive and finite")
         return cls(math.sqrt(p / sigma2))
 
-    def emit(self, source_block: np.ndarray, past_outputs: np.ndarray, k: int) -> float:
-        return self.gain * source_block[k]
-
-    def encode_block(self, source_block: np.ndarray) -> np.ndarray:
-        return self.gain * source_block
+    def emit(self, source: np.ndarray, past_outputs: np.ndarray, k: int) -> np.ndarray:
+        return self.gain * source[:, k]
 
 
 @dataclass(frozen=True)
@@ -158,38 +147,29 @@ def run_channel(
     n0: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One pass through the channel; returns (outputs, inputs1, inputs2).
+    """Pass (blocks, block_len) source arrays through the channel; returns
+    (outputs, inputs1, inputs2) of the same shape.
 
-    The noise block is drawn up front, so the feedback loop and the
-    vectorized fast path (taken when neither encoder reads the feedback)
-    produce bit-identical outputs.
+    Each block is one independent use of the feedback channel: at time k
+    an encoder sees only the outputs 0..k-1 of its own block. The noise is
+    drawn up front in C order, one standard normal per symbol.
     """
-    if len(s1) != len(s2):
-        raise ParameterError("source blocks must have equal length")
+    if s1.ndim != 2 or s1.shape != s2.shape:
+        raise ParameterError("source blocks must be (blocks, block_len) arrays of equal shape")
     if not (math.isfinite(n0) and n0 > 0.0):
         raise ParameterError("n0 must be positive and finite")
-    n = len(s1)
-    z = math.sqrt(n0) * rng.standard_normal(n)
-
-    if not (enc1.uses_feedback or enc2.uses_feedback):
-        x1 = np.asarray(enc1.encode_block(s1), dtype=np.float64)
-        x2 = np.asarray(enc2.encode_block(s2), dtype=np.float64)
-        if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
-            raise SimulationError("encoder produced non-finite symbol")
-        return x1 + x2 + z, x1, x2
-
-    x1 = np.empty(n)
-    x2 = np.empty(n)
-    y = np.empty(n)
-    for k in range(n):
-        past = y[:k]
-        a = float(enc1.emit(s1, past, k))
-        b = float(enc2.emit(s2, past, k))
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise SimulationError("encoder produced non-finite symbol")
-        x1[k] = a
-        x2[k] = b
-        y[k] = a + b + z[k]
+    z = math.sqrt(n0) * rng.standard_normal(s1.shape)
+    x1 = np.empty_like(z)
+    x2 = np.empty_like(z)
+    y = np.empty_like(z)
+    for k in range(s1.shape[1]):
+        past = y[:, :k]
+        x1[:, k] = enc1.emit(s1, past, k)
+        x2[:, k] = enc2.emit(s2, past, k)
+        np.add(x1[:, k], x2[:, k], out=y[:, k])
+        np.add(y[:, k], z[:, k], out=y[:, k])
+    if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
+        raise SimulationError("encoder produced non-finite symbol")
     return y, x1, x2
 
 
@@ -240,7 +220,11 @@ def simulate_uncoded(source: SourceParams, p: float, n0: float, cfg: SimConfig) 
     is the mean over symbols, and the across-block spread gives the
     standard errors.
     """
-    enc = UncodedEncoder.for_power(p, source.sigma2)
+    # Draw and decode a unit-variance source and scale the distortions by
+    # sigma2 at the end: their M2 grows as sigma2^2, which would overflow
+    # or underflow long before sigma2 itself does.
+    unit = SourceParams(1.0, source.rho)
+    enc = UncodedEncoder.for_power(p, unit.sigma2)
     # With a single block the across-block spread is undefined; fall back
     # to per-symbol statistics, which describe the same iid draws.
     per_symbol = cfg.num_blocks < 2
@@ -250,28 +234,34 @@ def simulate_uncoded(source: SourceParams, p: float, n0: float, cfg: SimConfig) 
     # batch: reusing one buffer is several times faster than fresh temporaries.
     buf = np.empty((5, batch_blocks * cfg.block_len))
     acc: _Moments = (0, np.zeros(5), np.zeros(5))
-    for batch, first in enumerate(range(0, cfg.num_blocks, batch_blocks)):
-        blocks = min(batch_blocks, cfg.num_blocks - first)
-        rng = np.random.default_rng((cfg.seed, batch))
-        s1, s2 = gen_source(source, blocks * cfg.block_len, rng)
-        y, x1, x2 = run_channel(enc, enc, s1, s2, n0, rng)
-        s1_hat, s2_hat = mmse_decode_uncoded(source, p, n0, y)
+    # Powers beyond about 1e150 overflow x^2 or its M2; SimReport rejects
+    # the non-finite statistic, so numpy need not warn on the way.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for batch, first in enumerate(range(0, cfg.num_blocks, batch_blocks)):
+            blocks = min(batch_blocks, cfg.num_blocks - first)
+            rng = np.random.default_rng((cfg.seed, batch))
+            s1, s2 = gen_source(unit, blocks * cfg.block_len, rng)
+            shape = (blocks, cfg.block_len)
+            channel = run_channel(enc, enc, s1.reshape(shape), s2.reshape(shape), n0, rng)
+            y, x1, x2 = (a.ravel() for a in channel)
+            s1_hat, s2_hat = mmse_decode_uncoded(unit, p, n0, y)
 
-        rows = buf[:, : len(y)]
-        np.subtract(s1, s1_hat, out=rows[0])
-        np.subtract(s2, s2_hat, out=rows[1])
-        np.square(rows[:2], out=rows[:2])
-        np.multiply(x1, x1, out=rows[2])
-        np.multiply(x2, x2, out=rows[3])
-        np.multiply(x1, x2, out=rows[4])
-        if not per_symbol and cfg.block_len > 1:
-            rows = rows.reshape(5, blocks, cfg.block_len).mean(axis=2)
-        acc = _merge(acc, _moments(rows))
+            rows = buf[:, : len(y)]
+            np.subtract(s1, s1_hat, out=rows[0])
+            np.subtract(s2, s2_hat, out=rows[1])
+            np.square(rows[:2], out=rows[:2])
+            np.multiply(x1, x1, out=rows[2])
+            np.multiply(x2, x2, out=rows[3])
+            np.multiply(x1, x2, out=rows[4])
+            if not per_symbol and cfg.block_len > 1:
+                rows = rows.reshape(5, blocks, cfg.block_len).mean(axis=2)
+            acc = _merge(acc, _moments(rows))
 
     nb, mean, m2 = acc
     stderr = np.sqrt(m2 / (nb - 1) / nb) if nb > 1 else np.zeros(5)
-    d1_hat, d2_hat, p1_hat, p2_hat, cross = mean.tolist()
-    stderr_d1, stderr_d2, stderr_p1, stderr_p2, _ = stderr.tolist()
+    scale = np.array([source.sigma2, source.sigma2, 1.0, 1.0, 1.0])
+    d1_hat, d2_hat, p1_hat, p2_hat, cross = (mean * scale).tolist()
+    stderr_d1, stderr_d2, stderr_p1, stderr_p2, _ = (stderr * scale).tolist()
     denom = math.sqrt(p1_hat * p2_hat)
     rho_tilde_hat = abs(cross) / denom if denom > 0.0 else 0.0
 

@@ -9,7 +9,7 @@ threshold; above it the exact optimum is unknown and the cell stays blank.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .bounds import below_snr_threshold, dstar_below_threshold, minimax_lower_bound, uncoded_distortion
@@ -35,7 +35,6 @@ class SweepSpec:
     snr_grid: tuple[float, ...]
     sigma2: float = 1.0
     n0: float = 1.0
-    columns: tuple[str, ...] = field(default=COLUMNS)
 
     def __post_init__(self) -> None:
         if not self.rho_grid or not self.snr_grid:
@@ -50,9 +49,6 @@ class SweepSpec:
             raise ParameterError("sigma2 must be positive and finite")
         if not (math.isfinite(self.n0) and self.n0 > 0.0):
             raise ParameterError("n0 must be positive and finite")
-        unknown = set(self.columns) - set(COLUMNS)
-        if unknown or not self.columns:
-            raise ParameterError(f"unknown sweep columns: {sorted(unknown)}")
 
 
 def sweep_rows(spec: SweepSpec) -> list[dict]:
@@ -88,17 +84,17 @@ def _cell(value) -> str:
     return str(value)
 
 
-def format_csv(spec: SweepSpec, rows: list[dict]) -> str:
-    lines = [",".join(spec.columns)]
+def format_csv(rows: list[dict]) -> str:
+    lines = [",".join(COLUMNS)]
     for row in rows:
-        lines.append(",".join(_cell(row[col]) for col in spec.columns))
+        lines.append(",".join(_cell(row[col]) for col in COLUMNS))
     return "\n".join(lines) + "\n"
 
 
 def write_sweep_csv(spec: SweepSpec, path: str | Path) -> list[dict]:
     """Run the sweep and write it to path; returns the rows for reuse."""
     rows = sweep_rows(spec)
-    text = format_csv(spec, rows)
+    text = format_csv(rows)
     try:
         Path(path).write_text(text, encoding="utf-8", newline="\n")
     except OSError as exc:

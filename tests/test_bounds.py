@@ -244,6 +244,30 @@ class TestMinimaxLowerBound:
         assert res2.lower_bound == pytest.approx(2.5 * res1.lower_bound, rel=1e-12)
         assert res2.rho_star == pytest.approx(res1.rho_star, abs=1e-12)
 
+    @pytest.mark.parametrize("p", [1e24, 1e300])
+    def test_high_snr_stop_is_relative_to_the_curves(self, p):
+        # Both curves lie far below 1e-12 sigma2 here, so an absolute stop
+        # would accept the first midpoint and overshoot the minimax.
+        res = minimax_lower_bound(HALF, p, 1.0)
+        floor = sum_rate_curve(HALF, p, 1.0, 1.0)
+        assert floor <= res.lower_bound <= floor * (1.0 + 1e-3)
+        assert res.rho_star > 0.99
+
+    @pytest.mark.parametrize("p", [5.74643496871595e-17, 1.0233520470972575e-16])
+    def test_rounding_tie_at_zero_correlation(self, p):
+        # At rho = 0 and snr near 1e-16 rounding can put the increasing
+        # curve on top already at rho_tilde = 0: the minimax sits there.
+        src = SourceParams(1.0, 0.0)
+        assert sum_rate_curve(src, p, 1.0, 0.0) <= single_user_curve(src, p, 1.0, 0.0)
+        res = minimax_lower_bound(src, p, 1.0)
+        assert res.rho_star == 0.0
+        assert res.lower_bound == single_user_curve(src, p, 1.0, 0.0)
+
+    def test_depends_on_p_over_n0_only(self):
+        assert minimax_lower_bound(HALF, 1e308, 1e308) == minimax_lower_bound(HALF, 1.0, 1.0)
+        with pytest.raises(ParameterError, match="overflows"):
+            minimax_lower_bound(HALF, 1e300, 1e-300)
+
     def test_never_exceeds_uncoded(self):
         # The converse can never sit above what uncoded transmission achieves.
         for rho in (0.1, 0.4, 0.7, 0.9):

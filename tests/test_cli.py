@@ -29,6 +29,13 @@ def run_subprocess(args):
     )
 
 
+def assert_usage_error(proc):
+    """Exit 2 with exactly one `error:` line on stderr, so no traceback."""
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
 class TestRd:
     def test_region_a_example(self):
         code, out = run_inprocess(["rd", "--sigma2", "1", "--rho", "0.5", "--d1", "0.3", "--d2", "0.3"])
@@ -91,6 +98,18 @@ class TestBound:
         assert proc.returncode == 0
         assert proc.stdout == "feasible = false\n"
         assert proc.stderr == ""
+
+    def test_overflowing_snr_is_usage_error(self):
+        assert_usage_error(run_subprocess([
+            "bound", "--sigma2", "1e300", "--rho", "0.5", "--n", "1e-300", "--p", "1e300",
+        ]))
+
+    def test_only_p_over_n_matters(self):
+        args = ["bound", "--sigma2", "1", "--rho", "0.5"]
+        assert (
+            run_inprocess(args + ["--n", "1e308", "--p", "1e308"])
+            == run_inprocess(args + ["--n", "1", "--p", "1"])
+        )
 
     def test_general_feasible_reports_interval(self):
         code, out = run_inprocess([
@@ -168,6 +187,24 @@ class TestSimulate:
         assert proc.returncode == 1
         assert "disagrees" in proc.stderr
 
+    @pytest.mark.parametrize("sigma2", ["1e200", "1e-300"])
+    def test_extreme_variance_matches_formula(self, sigma2):
+        proc = run_subprocess([
+            "simulate", "--sigma2", sigma2, "--rho", "0.5", "--p", "1", "--n", "1",
+            "--symbols", "100000", "--seed", "3", "--json",
+        ])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        payload = json.loads(proc.stdout)
+        assert payload["d1_hat"] / float(sigma2) == pytest.approx(0.4375, abs=0.01)
+        assert max(abs(payload["z1"]), abs(payload["z2"])) <= 4.0
+
+    def test_overflowing_power_is_usage_error(self):
+        assert_usage_error(run_subprocess([
+            "simulate", "--sigma2", "1", "--rho", "0.5", "--p", "1e300", "--n", "1",
+            "--symbols", "1000",
+        ]))
+
     def test_chunked_run_accepted(self):
         # 200,000 symbols stream through four fixed batches.
         code, out = run_inprocess([
@@ -223,6 +260,11 @@ class TestSweepCommand:
         ])
         assert proc.returncode == 1
         assert "x.csv" in proc.stderr
+
+    def test_overflowing_snr_is_usage_error(self, tmp_path):
+        assert_usage_error(run_subprocess([
+            "sweep", "--rho-grid", "0.5", "--snr-grid", "1e308", "--out", str(tmp_path / "x.csv"),
+        ]))
 
     def test_bad_grid_value_usage_error(self):
         proc = run_subprocess([

@@ -27,40 +27,30 @@ HALF = SourceParams(1.0, 0.5)
 
 
 class ZeroEncoder(FeedbackEncoder):
-    uses_feedback = False
-
-    def emit(self, source_block, past_outputs, k):
-        return 0.0
-
-    def encode_block(self, source_block):
-        return np.zeros_like(source_block)
+    def emit(self, source, past_outputs, k):
+        return np.zeros(len(source))
 
 
 class EchoEncoder(FeedbackEncoder):
-    """Repeats the previous channel output; records what it saw."""
+    """Repeats each block's previous channel output; records what it saw."""
 
     def __init__(self):
         self.seen = []
 
-    def emit(self, source_block, past_outputs, k):
-        value = float(past_outputs[-1]) if k > 0 else 0.0
-        self.seen.append(value)
-        return value
-
-
-class LoopedUncoded(FeedbackEncoder):
-    """Same arithmetic as UncodedEncoder but forced through the symbol loop."""
-
-    def __init__(self, gain):
-        self.gain = gain
-
-    def emit(self, source_block, past_outputs, k):
-        return self.gain * source_block[k]
+    def emit(self, source, past_outputs, k):
+        self.seen.append(past_outputs.copy())
+        return past_outputs[:, -1] if k > 0 else np.zeros(len(source))
 
 
 class NanEncoder(FeedbackEncoder):
-    def emit(self, source_block, past_outputs, k):
-        return math.nan
+    def emit(self, source, past_outputs, k):
+        return np.full(len(source), math.nan)
+
+
+def column_sources(n, rng):
+    """n blocks of one symbol each."""
+    s1, s2 = gen_source(HALF, n, rng)
+    return s1[:, None], s2[:, None]
 
 
 class TestGenSource:
@@ -98,12 +88,6 @@ class TestUncodedEncoder:
         enc = UncodedEncoder.for_power(4.0, 1.0)
         assert enc.gain == 2.0
 
-    def test_emit_matches_block_form(self):
-        enc = UncodedEncoder.for_power(1.0, 1.0)
-        block = np.array([0.3, -1.2, 4.5])
-        for k in range(3):
-            assert enc.emit(block, block[:k], k) == enc.encode_block(block)[k]
-
     def test_rejects_bad_power(self):
         with pytest.raises(ParameterError):
             UncodedEncoder.for_power(0.0, 1.0)
@@ -113,14 +97,14 @@ class TestRunChannel:
     def test_zero_encoders_pass_noise_through(self):
         rng = np.random.default_rng(23)
         n = 200_000
-        s1, s2 = gen_source(HALF, n, rng)
+        s1, s2 = column_sources(n, rng)
         y, x1, x2 = run_channel(ZeroEncoder(), ZeroEncoder(), s1, s2, 2.0, rng)
         assert np.all(x1 == 0.0) and np.all(x2 == 0.0)
         assert np.var(y) == pytest.approx(2.0, abs=4.0 * 2.0 * math.sqrt(2.0 / n))
 
     def test_near_noiseless_limit(self):
         rng = np.random.default_rng(29)
-        s1, s2 = gen_source(HALF, 1000, rng)
+        s1, s2 = column_sources(1000, rng)
         enc = UncodedEncoder.for_power(1.0, 1.0)
         y, _, _ = run_channel(enc, enc, s1, s2, 1e-12, rng)
         np.testing.assert_allclose(y, enc.gain * (s1 + s2), atol=1e-4)
@@ -129,45 +113,46 @@ class TestRunChannel:
         # var(y) = 2 p (1 + rho) + n0 for the uncoded scheme
         rng = np.random.default_rng(31)
         n = 1_000_000
-        s1, s2 = gen_source(HALF, n, rng)
+        s1, s2 = column_sources(n, rng)
         enc = UncodedEncoder.for_power(1.0, 1.0)
         y, _, _ = run_channel(enc, enc, s1, s2, 1.0, rng)
         target = 4.0
         assert np.var(y) == pytest.approx(target, abs=3.0 * target * math.sqrt(2.0 / n))
 
-    def test_loop_and_block_paths_bit_identical(self):
-        n = 20_000
-        rng_a = np.random.default_rng(37)
-        s1, s2 = gen_source(HALF, n, rng_a)
-        fast = run_channel(
-            UncodedEncoder.for_power(1.0, 1.0), UncodedEncoder.for_power(1.0, 1.0),
-            s1, s2, 1.0, np.random.default_rng(41),
-        )
-        slow = run_channel(
-            LoopedUncoded(UncodedEncoder.for_power(1.0, 1.0).gain),
-            LoopedUncoded(UncodedEncoder.for_power(1.0, 1.0).gain),
-            s1, s2, 1.0, np.random.default_rng(41),
-        )
-        for a, b in zip(fast, slow):
-            assert np.array_equal(a, b)
-
     def test_feedback_sees_previous_output_exactly(self):
         rng = np.random.default_rng(43)
         s1, s2 = gen_source(HALF, 500, rng)
         echo = EchoEncoder()
-        y, _, _ = run_channel(echo, ZeroEncoder(), s1, s2, 1.0, rng)
-        assert echo.seen[0] == 0.0
-        for k in range(1, len(y)):
-            assert echo.seen[k] == y[k - 1]
+        y, x1, _ = run_channel(echo, ZeroEncoder(), s1[None, :], s2[None, :], 1.0, rng)
+        assert x1[0, 0] == 0.0
+        for k in range(1, 500):
+            assert x1[0, k] == y[0, k - 1]
+            assert np.array_equal(echo.seen[k], y[:, :k])
+
+    def test_each_block_sees_only_its_own_past(self):
+        # 8 independent blocks of 16 channel uses: at k = 0 every block
+        # starts from an empty past, and later it hears only itself.
+        rng = np.random.default_rng(67)
+        s1, s2 = gen_source(HALF, 8 * 16, rng)
+        echo = EchoEncoder()
+        y, x1, _ = run_channel(
+            echo, ZeroEncoder(), s1.reshape(8, 16), s2.reshape(8, 16), 1.0, rng
+        )
+        assert y.shape == x1.shape == (8, 16)
+        assert echo.seen[0].shape == (8, 0)
+        assert np.all(x1[:, 0] == 0.0)
+        for k in range(1, 16):
+            assert echo.seen[k].shape == (8, k)
+            assert np.array_equal(x1[:, k], y[:, k - 1])
 
     def test_rejects_length_mismatch(self):
         rng = np.random.default_rng(47)
-        with pytest.raises(ParameterError, match="equal length"):
-            run_channel(ZeroEncoder(), ZeroEncoder(), np.zeros(3), np.zeros(4), 1.0, rng)
+        with pytest.raises(ParameterError, match="equal shape"):
+            run_channel(ZeroEncoder(), ZeroEncoder(), np.zeros((3, 1)), np.zeros((4, 1)), 1.0, rng)
 
     def test_rejects_non_finite_symbols(self):
         rng = np.random.default_rng(53)
-        s1, s2 = gen_source(HALF, 10, rng)
+        s1, s2 = column_sources(10, rng)
         with pytest.raises(SimulationError, match="non-finite symbol"):
             run_channel(NanEncoder(), ZeroEncoder(), s1, s2, 1.0, rng)
 
@@ -179,10 +164,10 @@ class TestMmseDecoder:
     def test_gain_matches_regression_slope(self):
         rng = np.random.default_rng(59)
         n = 500_000
-        s1, s2 = gen_source(HALF, n, rng)
+        s1, s2 = column_sources(n, rng)
         enc = UncodedEncoder.for_power(1.0, 1.0)
         y, _, _ = run_channel(enc, enc, s1, s2, 1.0, rng)
-        slope = float(np.dot(s1, y) / np.dot(y, y))
+        slope = float(np.vdot(s1, y) / np.vdot(y, y))
         assert slope == pytest.approx(mmse_gain(HALF, 1.0, 1.0), abs=0.003)
 
     def test_mse_identity_at_random_parameters(self):

@@ -46,7 +46,7 @@ def test_rho_zero_rows_have_blank_dstar():
         assert row["threshold_snr"] == 0.0
         assert row["below_threshold"] is False
         assert row["dstar_or_blank"] is None
-    text = format_csv(spec, sweep_rows(spec))
+    text = format_csv(sweep_rows(spec))
     for line in text.strip().split("\n")[1:]:
         assert line.endswith(",")    # empty final cell
 
@@ -65,7 +65,7 @@ def test_rows_match_library_calls():
 
 def test_csv_cells_full_precision():
     spec = SweepSpec(rho_grid=(0.2,), snr_grid=(1.0 / 3.0,))
-    text = format_csv(spec, sweep_rows(spec))
+    text = format_csv(sweep_rows(spec))
     cells = text.strip().split("\n")[1].split(",")
     assert cells[0] == "0.2"
     assert cells[1] == repr(1.0 / 3.0)
@@ -99,14 +99,6 @@ def test_write_failure_carries_path(tmp_path):
 def test_spec_validation(kwargs):
     with pytest.raises(ParameterError):
         SweepSpec(**kwargs)
-
-
-def test_column_subset():
-    spec = SweepSpec(rho_grid=(0.4,), snr_grid=(1.0,), columns=("rho", "d_uncoded"))
-    text = format_csv(spec, sweep_rows(spec))
-    assert text.split("\n")[0] == "rho,d_uncoded"
-    with pytest.raises(ParameterError, match="unknown sweep columns"):
-        SweepSpec(rho_grid=(0.4,), snr_grid=(1.0,), columns=("rho", "bogus"))
 
 
 def test_columns_constant_matches_contract():
