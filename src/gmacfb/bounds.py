@@ -19,6 +19,7 @@ rho / (1 - rho^2), uncoded transmission is exactly optimal and
 `dstar_below_threshold` returns the optimum in closed form; above it only
 the lower bound and the uncoded upper bound `uncoded_distortion` are
 reported.
+Every distortion is the unit-variance value times sigma2, taken last.
 """
 
 from __future__ import annotations
@@ -161,12 +162,11 @@ def sum_rate_curve(source: SourceParams, p: float, n0: float, rho_tilde: float) 
     """
     rt = _check_rho_tilde(rho_tilde)
     snr = _check_power_noise(p, n0)
-    s2 = source.sigma2
     rho = source.rho
     den = 1.0 + 2.0 * snr * (1.0 + rt)
     if rho >= 1.0 or snr <= snr_threshold(source):
-        return 0.5 * (s2 * (1.0 + rho) / den + s2 * (1.0 - rho))
-    return s2 * math.sqrt((1.0 - rho * rho) / den)
+        return source.sigma2 * (0.5 * ((1.0 + rho) / den + (1.0 - rho)))
+    return source.sigma2 * math.sqrt((1.0 - rho * rho) / den)
 
 
 def single_user_curve(source: SourceParams, p: float, n0: float, rho_tilde: float) -> float:
@@ -176,7 +176,7 @@ def single_user_curve(source: SourceParams, p: float, n0: float, rho_tilde: floa
     """
     rt = _check_rho_tilde(rho_tilde)
     snr = _check_power_noise(p, n0)
-    return source.sigma2 * (1.0 - source.rho ** 2) / (1.0 + snr * (1.0 - rt * rt))
+    return source.sigma2 * ((1.0 - source.rho ** 2) / (1.0 + snr * (1.0 - rt * rt)))
 
 
 def endpoint_snr_threshold(source: SourceParams) -> float:
@@ -195,9 +195,9 @@ def minimax_lower_bound(source: SourceParams, p: float, n0: float) -> BoundResul
     [0, 1]. Since one curve is nonincreasing and the other nondecreasing,
     the minimum is at rho_tilde = 1 when p/n0 is at or below
     `endpoint_snr_threshold`, and otherwise at the unique crossing, which
-    bisection locates to |difference| <= 1e-12 times the curve value (or
-    to float granularity in rho_tilde when the curves are too steep for
-    that).
+    bisection locates to |difference| <= 1e-12 times the curve value; where
+    the curves are too steep for that, to float granularity in rho_tilde,
+    returning the largest value the final bracket certifies.
     """
     snr = _check_power_noise(p, n0)
 
@@ -207,16 +207,18 @@ def minimax_lower_bound(source: SourceParams, p: float, n0: float) -> BoundResul
     def curves(rt: float) -> tuple[float, float]:
         return sum_rate_curve(source, p, n0, rt), single_user_curve(source, p, n0, rt)
 
-    upper, lower = curves(0.0)
-    if upper <= lower:
+    upper, lo_value = curves(0.0)
+    if upper <= lo_value:
         # The increasing curve already dominates at rho_tilde = 0, which
         # only rounding causes (snr and rho near 0): the minimax is there.
-        return BoundResult(lower, 0.0, "crossing")
-    upper, lower = curves(1.0)
-    if upper >= lower:
+        return BoundResult(lo_value, 0.0, "crossing")
+    hi_value, lower = curves(1.0)
+    if hi_value >= lower:
         # Numerically at the endpoint threshold despite the test above.
-        return BoundResult(upper, 1.0, "endpoint")
+        return BoundResult(hi_value, 1.0, "endpoint")
 
+    # The crossing stays inside [lo, hi], so the minimax is at least both
+    # lo_value (increasing curve at lo) and hi_value (decreasing one at hi).
     lo, hi = 0.0, 1.0
     best_rt, best_gap, best_value = 0.5, math.inf, math.nan
     for _ in range(200):
@@ -225,13 +227,15 @@ def minimax_lower_bound(source: SourceParams, p: float, n0: float) -> BoundResul
         g_mid = upper - lower
         if abs(g_mid) < abs(best_gap):
             best_rt, best_gap, best_value = mid, g_mid, upper if g_mid > 0.0 else lower
-        if abs(g_mid) <= 1e-12 * lower or hi - lo <= 1e-17:
+        if abs(g_mid) <= 1e-12 * lower:
+            return BoundResult(best_value, best_rt, "crossing")
+        if hi - lo <= 1e-17:
             break
         if g_mid > 0.0:
-            lo = mid
+            lo, lo_value = mid, lower
         else:
-            hi = mid
-    return BoundResult(best_value, best_rt, "crossing")
+            hi, hi_value = mid, upper
+    return BoundResult(max(lo_value, hi_value), best_rt, "crossing")
 
 
 def below_snr_threshold(source: SourceParams, p: float, n0: float) -> bool:
@@ -250,9 +254,8 @@ def uncoded_distortion(source: SourceParams, p: float, n0: float) -> float:
     exactly when p/n0 is at or below the SNR threshold.
     """
     snr = _check_power_noise(p, n0)
-    s2 = source.sigma2
     rho = source.rho
-    return s2 * (snr * (1.0 - rho * rho) + 1.0) / (2.0 * snr * (1.0 + rho) + 1.0)
+    return source.sigma2 * ((snr * (1.0 - rho * rho) + 1.0) / (2.0 * snr * (1.0 + rho) + 1.0))
 
 
 def dstar_below_threshold(source: SourceParams, p: float, n0: float) -> float:

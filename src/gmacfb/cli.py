@@ -150,10 +150,8 @@ def _cmd_bound(args: argparse.Namespace) -> _Outcome:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> _Outcome:
-    if args.symbols < 1:
-        raise ParameterError("symbols must be >= 1")
+    cfg = SimConfig(args.symbols, args.seed)
     source = SourceParams(args.sigma2, args.rho)
-    cfg = SimConfig(num_blocks=args.symbols, block_len=1, seed=args.seed)
     report = simulate_uncoded(source, args.p, args.n, cfg)
     d_u = uncoded_distortion(source, args.p, args.n)
 

@@ -18,6 +18,8 @@ in so that the function is total and symmetric under swapping (d1, d2),
 which equality of the component variances forces anyway. Targets above the
 source variance are equivalent to the variance itself (estimating by the
 mean already achieves it), so they are clamped before classification.
+The rates depend on the targets only through d / sigma2 and are computed
+from it, so no sigma2^2 is ever formed.
 """
 
 from __future__ import annotations
@@ -37,8 +39,10 @@ class Region(enum.Enum):
     C = "C"
 
 
-def _clamped(source: SourceParams, d: DistortionPair) -> tuple[float, float]:
-    return min(d.d1, source.sigma2), min(d.d2, source.sigma2)
+def _unit_targets(source: SourceParams, d: DistortionPair) -> tuple[float, float]:
+    """(d1, d2) / sigma2, clamped at 1. A ratio that underflows to 0 stands
+    for a rate beyond any float."""
+    return min(d.d1 / source.sigma2, 1.0), min(d.d2 / source.sigma2, 1.0)
 
 
 def classify_region(source: SourceParams, d: DistortionPair) -> Region:
@@ -49,42 +53,42 @@ def classify_region(source: SourceParams, d: DistortionPair) -> Region:
     C is open at its lower boundary). The branch formulas agree on the
     boundaries, so the tie-break never changes a rate value.
     """
-    s2 = source.sigma2
     rho = source.rho
-    d1, d2 = _clamped(source, d)
+    d1, d2 = _unit_targets(source, d)
     # Region A in cross-multiplied form, symmetric and division-free:
-    # d2 <= (s2(1-rho^2) - d1) * s2 / (s2 - d1) on d1 <= s2(1-rho^2).
-    if s2 * (d1 + d2) - d1 * d2 <= s2 * s2 * (1.0 - rho * rho):
+    # d2 <= (1 - rho^2 - d1) / (1 - d1) on d1 <= 1 - rho^2.
+    if (d1 + d2) - d1 * d2 <= 1.0 - rho * rho:
         return Region.A
-    if max(d1, d2) > s2 * (1.0 - rho * rho) + rho * rho * min(d1, d2):
+    if max(d1, d2) > (1.0 - rho * rho) + rho * rho * min(d1, d2):
         return Region.C
     return Region.B
 
 
 def joint_rd(source: SourceParams, d: DistortionPair) -> float:
     """Joint rate-distortion function R(d1, d2) in bits per source pair."""
-    s2 = source.sigma2
     rho = source.rho
-    d1, d2 = _clamped(source, d)
+    d1, d2 = _unit_targets(source, d)
+    if min(d1, d2) == 0.0:
+        return math.inf
     if rho >= 1.0:
         # Identical components: describing the one with the tighter target
         # covers the other. The region-B formula degenerates to 0/0 on the
         # diagonal here, and this is its continuity limit.
-        return 0.5 * math.log2(s2 / min(d1, d2))
+        return 0.5 * math.log2(1.0 / min(d1, d2))
     region = classify_region(source, d)
     if region is Region.A:
         prod = d1 * d2
         if prod < sys.float_info.min:
             # The product underflows; sum the logs instead.
-            return 0.5 * (math.log2(s2 / d1) + math.log2(s2 / d2) + math.log2(1.0 - rho * rho))
-        return 0.5 * math.log2(s2 * s2 * (1.0 - rho * rho) / prod)
+            return 0.5 * (math.log2(1.0 / d1) + math.log2(1.0 / d2) + math.log2(1.0 - rho * rho))
+        return 0.5 * math.log2((1.0 - rho * rho) / prod)
     if region is Region.B:
-        gap = rho * s2 - math.sqrt((s2 - d1) * (s2 - d2))
+        gap = rho - math.sqrt((1.0 - d1) * (1.0 - d2))
         den = d1 * d2 - gap * gap
         if den <= 0.0:
             raise ArithmeticError("inconsistent region evaluation")
-        return 0.5 * math.log2(s2 * s2 * (1.0 - rho * rho) / den)
-    return 0.5 * math.log2(s2 / min(d1, d2))
+        return 0.5 * math.log2((1.0 - rho * rho) / den)
+    return 0.5 * math.log2(1.0 / min(d1, d2))
 
 
 def conditional_rd(source: SourceParams, d: float) -> float:
@@ -95,10 +99,12 @@ def conditional_rd(source: SourceParams, d: float) -> float:
     """
     if not (math.isfinite(d) and d > 0.0):
         raise ParameterError("d must be positive and finite")
-    cond_var = source.sigma2 * (1.0 - source.rho ** 2)
-    if d >= cond_var:
+    u = d / source.sigma2
+    cond_var = 1.0 - source.rho ** 2
+    if u >= cond_var:
         return 0.0
-    return 0.5 * math.log2(cond_var / d)
+    # A ratio that underflowed to 0 stands for a rate beyond any float.
+    return 0.5 * math.log2(cond_var / u) if u > 0.0 else math.inf
 
 
 def diagonal_branch_rate(source: SourceParams) -> float:

@@ -12,21 +12,24 @@ Only the uncoded encoder ships: it sends a scaled copy of the current
 source symbol and ignores the feedback entirely. Because everything is
 then jointly Gaussian and memoryless, the per-symbol linear estimator
 c * y is the exact conditional mean, and the simulator's empirical
-distortions can be checked against the closed-form prediction.
+distortions can be checked against the closed-form prediction. Being
+memoryless, the scheme needs no blocks: `simulate_uncoded` is a stream of
+symbols, each a block of one channel use.
 
-The run streams through fixed batches of whole blocks, about 2^16 symbols
-each, so memory stays bounded whatever the length. Batch b draws from its
-own generator seeded by (seed, b); the report therefore depends only on the
-configuration and the seed, and there is no tuning knob that changes the
-random stream. Each batch is reduced to per-block (count, mean, M2)
-moments, which are folded into one running accumulator with the parallel
-update of Chan, Golub & LeVeque (1979).
+The run streams through fixed batches of 2^16 symbols, so memory stays
+bounded whatever the length. Batch b draws from its own generator seeded
+by (seed, b); the report therefore depends only on the symbol count and
+the seed, and there is no tuning knob that changes the random stream.
+Each batch is reduced to per-symbol (count, mean, M2) moments, which are
+folded into one running accumulator with the parallel update of Chan,
+Golub & LeVeque (1979).
 """
 
 from __future__ import annotations
 
 import abc
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,16 +58,16 @@ class FeedbackEncoder(abc.ABC):
 
 @dataclass(frozen=True)
 class UncodedEncoder(FeedbackEncoder):
-    """Sends gain * s_k, ignoring feedback; gain = sqrt(p / sigma2) meets
-    the power constraint with equality in expectation."""
+    """Sends gain * s_k, ignoring feedback; for a unit-variance source,
+    gain = sqrt(p) meets the power constraint with equality in expectation."""
 
     gain: float
 
     @classmethod
-    def for_power(cls, p: float, sigma2: float) -> "UncodedEncoder":
-        if not (math.isfinite(p) and p > 0.0 and math.isfinite(sigma2) and sigma2 > 0.0):
-            raise ParameterError("power and variance must be positive and finite")
-        return cls(math.sqrt(p / sigma2))
+    def for_power(cls, p: float) -> "UncodedEncoder":
+        if not (math.isfinite(p) and p > 0.0):
+            raise ParameterError("power must be positive and finite")
+        return cls(math.sqrt(p))
 
     def emit(self, source: np.ndarray, past_outputs: np.ndarray, k: int) -> np.ndarray:
         return self.gain * source[:, k]
@@ -72,21 +75,16 @@ class UncodedEncoder(FeedbackEncoder):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Monte Carlo run shape: num_blocks blocks of block_len symbols each."""
+    """Monte Carlo run: how many source pairs to send, and the seed."""
 
-    num_blocks: int
-    block_len: int = 1
+    symbols: int
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        if self.num_blocks < 1 or self.block_len < 1:
-            raise ParameterError("num_blocks and block_len must both be >= 1")
+        if self.symbols < 1:
+            raise ParameterError("symbols must be >= 1")
         if not (0 <= self.seed < 2 ** 64):
             raise ParameterError("seed must fit in 64 bits")
-
-    @property
-    def total_symbols(self) -> int:
-        return self.num_blocks * self.block_len
 
 
 @dataclass(frozen=True)
@@ -95,7 +93,7 @@ class SimReport:
 
     d*_hat are the mean squared reconstruction errors, p*_hat the average
     transmit powers, rho_tilde_hat the normalized |correlation| of the two
-    realized input sequences. Standard errors come from the across-block
+    realized input sequences. Standard errors come from the per-symbol
     spread. p*_flagged marks an empirical power more than four standard
     errors above its constraint (audited, never clipped).
     """
@@ -213,56 +211,49 @@ def _merge(a: _Moments, b: _Moments) -> _Moments:
 
 def simulate_uncoded(source: SourceParams, p: float, n0: float, cfg: SimConfig) -> SimReport:
     """Full pipeline: draw sources, run the channel with uncoded encoders,
-    decode, and fold per-block statistics batch by batch.
+    decode, and fold per-symbol statistics batch by batch.
 
-    Each block contributes its mean squared errors, mean powers and mean
-    cross product x1 x2. Blocks have equal length, so the mean over blocks
-    is the mean over symbols, and the across-block spread gives the
-    standard errors.
+    Each symbol contributes its squared errors, powers and cross product
+    x1 x2; their spread gives the standard errors.
     """
     # Draw and decode a unit-variance source and scale the distortions by
     # sigma2 at the end: their M2 grows as sigma2^2, which would overflow
     # or underflow long before sigma2 itself does.
     unit = SourceParams(1.0, source.rho)
-    enc = UncodedEncoder.for_power(p, unit.sigma2)
-    # With a single block the across-block spread is undefined; fall back
-    # to per-symbol statistics, which describe the same iid draws.
-    per_symbol = cfg.num_blocks < 2
-    batch_blocks = max(1, _BATCH_SYMBOLS // cfg.block_len)
+    enc = UncodedEncoder.for_power(p)
 
     # Per-symbol rows e1, e2, x1^2, x2^2, x1 x2, refilled in place each
     # batch: reusing one buffer is several times faster than fresh temporaries.
-    buf = np.empty((5, batch_blocks * cfg.block_len))
+    buf = np.empty((5, _BATCH_SYMBOLS))
     acc: _Moments = (0, np.zeros(5), np.zeros(5))
     # Powers beyond about 1e150 overflow x^2 or its M2; SimReport rejects
     # the non-finite statistic, so numpy need not warn on the way.
     with np.errstate(over="ignore", invalid="ignore"):
-        for batch, first in enumerate(range(0, cfg.num_blocks, batch_blocks)):
-            blocks = min(batch_blocks, cfg.num_blocks - first)
+        for batch, first in enumerate(range(0, cfg.symbols, _BATCH_SYMBOLS)):
+            n = min(_BATCH_SYMBOLS, cfg.symbols - first)
             rng = np.random.default_rng((cfg.seed, batch))
-            s1, s2 = gen_source(unit, blocks * cfg.block_len, rng)
-            shape = (blocks, cfg.block_len)
-            channel = run_channel(enc, enc, s1.reshape(shape), s2.reshape(shape), n0, rng)
-            y, x1, x2 = (a.ravel() for a in channel)
+            s1, s2 = gen_source(unit, n, rng)
+            channel = run_channel(enc, enc, s1[:, None], s2[:, None], n0, rng)
+            y, x1, x2 = (a[:, 0] for a in channel)
             s1_hat, s2_hat = mmse_decode_uncoded(unit, p, n0, y)
 
-            rows = buf[:, : len(y)]
+            rows = buf[:, :n]
             np.subtract(s1, s1_hat, out=rows[0])
             np.subtract(s2, s2_hat, out=rows[1])
             np.square(rows[:2], out=rows[:2])
             np.multiply(x1, x1, out=rows[2])
             np.multiply(x2, x2, out=rows[3])
             np.multiply(x1, x2, out=rows[4])
-            if not per_symbol and cfg.block_len > 1:
-                rows = rows.reshape(5, blocks, cfg.block_len).mean(axis=2)
             acc = _merge(acc, _moments(rows))
 
-    nb, mean, m2 = acc
-    stderr = np.sqrt(m2 / (nb - 1) / nb) if nb > 1 else np.zeros(5)
+    count, mean, m2 = acc
+    stderr = np.sqrt(m2 / (count - 1) / count) if count > 1 else np.zeros(5)
     scale = np.array([source.sigma2, source.sigma2, 1.0, 1.0, 1.0])
     d1_hat, d2_hat, p1_hat, p2_hat, cross = (mean * scale).tolist()
     stderr_d1, stderr_d2, stderr_p1, stderr_p2, _ = (stderr * scale).tolist()
-    denom = math.sqrt(p1_hat * p2_hat)
+    prod = p1_hat * p2_hat
+    # At tiny powers the product underflows; take the roots apart there.
+    denom = math.sqrt(prod) if prod >= sys.float_info.min else math.sqrt(p1_hat) * math.sqrt(p2_hat)
     rho_tilde_hat = abs(cross) / denom if denom > 0.0 else 0.0
 
     return SimReport(
@@ -277,5 +268,5 @@ def simulate_uncoded(source: SourceParams, p: float, n0: float, cfg: SimConfig) 
         stderr_p2=stderr_p2,
         p1_flagged=p1_hat > p + 4.0 * stderr_p1,
         p2_flagged=p2_hat > p + 4.0 * stderr_p2,
-        total_symbols=cfg.total_symbols,
+        total_symbols=cfg.symbols,
     )

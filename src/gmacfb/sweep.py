@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bounds import below_snr_threshold, dstar_below_threshold, minimax_lower_bound, uncoded_distortion
+from .bounds import below_snr_threshold, minimax_lower_bound, uncoded_distortion
 from .model import ParameterError, SourceParams, snr_threshold
 
 COLUMNS = (
@@ -61,6 +61,7 @@ def sweep_rows(spec: SweepSpec) -> list[dict]:
             p = snr * spec.n0
             below = below_snr_threshold(source, p, spec.n0)
             bound = minimax_lower_bound(source, p, spec.n0)
+            d_u = uncoded_distortion(source, p, spec.n0)
             rows.append({
                 "rho": rho,
                 "snr": snr,
@@ -68,8 +69,8 @@ def sweep_rows(spec: SweepSpec) -> list[dict]:
                 "below_threshold": below,
                 "lower_bound": bound.lower_bound,
                 "rho_star": bound.rho_star,
-                "d_uncoded": uncoded_distortion(source, p, spec.n0),
-                "dstar_or_blank": dstar_below_threshold(source, p, spec.n0) if below else None,
+                "d_uncoded": d_u,
+                "dstar_or_blank": d_u if below else None,  # uncoded is optimal there
             })
     return rows
 

@@ -52,20 +52,20 @@ class Scale:
     mc_symbols: int
     scan_points: int
     instances: int
-    minimax_points: int
     rd_grid: int
     boundary_points: int
 
 
-# The minimax grid stays at its stated size even in quick mode: the 1e-6
-# value agreement is only reachable at that resolution, and the scan is a
-# couple of vectorized passes either way.
+# The minimax grid has its stated size at either scale: the 1e-6 value
+# agreement is only reachable at that resolution, and the scan is a couple
+# of vectorized passes either way.
+MINIMAX_POINTS = 100_000
+
 SCALES = {
     "quick": Scale(
         mc_symbols=100_000,
         scan_points=100_000,
         instances=40,
-        minimax_points=100_000,
         rd_grid=60,
         boundary_points=10,
     ),
@@ -73,7 +73,6 @@ SCALES = {
         mc_symbols=1_000_000,
         scan_points=1_000_000,
         instances=200,
-        minimax_points=100_000,
         rd_grid=200,
         boundary_points=25,
     ),
@@ -149,7 +148,7 @@ def monte_carlo_agreement(scale: Scale) -> CriterionResult:
         (r, pw) for r in (0.0, 0.3, 0.5, 0.8) for pw in (0.25, 1.0, 4.0)
     ):
         source = SourceParams(1.0, rho)
-        cfg = SimConfig(num_blocks=scale.mc_symbols, seed=MC_SEED_BASE + i)
+        cfg = SimConfig(scale.mc_symbols, seed=MC_SEED_BASE + i)
         rep = simulate_uncoded(source, p, 1.0, cfg)
         d_u = uncoded_distortion(source, p, 1.0)
         for d_hat, se in ((rep.d1_hat, rep.stderr_d1), (rep.d2_hat, rep.stderr_d2)):
@@ -170,7 +169,7 @@ def endpoint_threshold(scale: Scale) -> CriterionResult:
     """Below the endpoint SNR the minimax must sit exactly at rho_tilde = 1;
     above it, at a genuine crossing that a brute-force grid minimax
     reproduces to one grid step and 1e-6 in value."""
-    grid = np.linspace(0.0, 1.0, scale.minimax_points)
+    grid = np.linspace(0.0, 1.0, MINIMAX_POINTS)
     step = grid[1] - grid[0]
     problems = []
     for rho in RHO_GRID:

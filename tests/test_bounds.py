@@ -251,6 +251,9 @@ class TestMinimaxLowerBound:
         res = minimax_lower_bound(HALF, p, 1.0)
         floor = sum_rate_curve(HALF, p, 1.0, 1.0)
         assert floor <= res.lower_bound <= floor * (1.0 + 1e-3)
+        # The search ends on float granularity here, not on the relative
+        # stop; the larger curve at the last midpoint would overshoot.
+        assert res.lower_bound <= sum_rate_curve(HALF, p, 1.0, 1.0) * (1.0 + 1e-9)
         assert res.rho_star > 0.99
 
     @pytest.mark.parametrize("p", [5.74643496871595e-17, 1.0233520470972575e-16])

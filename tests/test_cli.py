@@ -56,6 +56,18 @@ class TestRd:
         assert payload["joint_bits"] == pytest.approx(1.5294468445267844, abs=1e-15)
         assert payload["cond1_bits"] == payload["cond2_bits"]
 
+    def test_huge_variance_depends_on_the_ratio_only(self):
+        # sigma2^2 overflows at 1e200; the rates depend only on d / sigma2 = 0.1.
+        args = ["rd", "--rho", "0.5", "--json"]
+        code, out = run_inprocess(args + ["--sigma2", "1e200", "--d1", "1e199", "--d2", "1e199"])
+        _, unit = run_inprocess(args + ["--sigma2", "1", "--d1", "0.1", "--d2", "0.1"])
+        assert code == 0
+        big, unit = json.loads(out), json.loads(unit)
+        assert big["region"] == unit["region"] == "A"
+        assert unit["joint_bits"] == pytest.approx(3.11440935, abs=1e-8)
+        for key in ("joint_bits", "cond1_bits", "cond2_bits"):
+            assert big[key] == pytest.approx(unit[key], rel=1e-12)
+
     def test_rho_out_of_range_is_usage_error(self):
         proc = run_subprocess(["rd", "--sigma2", "1", "--rho", "1.5", "--d1", "0.3", "--d2", "0.3"])
         assert proc.returncode == 2
@@ -98,6 +110,16 @@ class TestBound:
         assert proc.returncode == 0
         assert proc.stdout == "feasible = false\n"
         assert proc.stderr == ""
+
+    def test_huge_variance_feasibility_is_finite(self):
+        args = ["bound", "--rho", "0.5", "--n", "1", "--p1", "1", "--p2", "1", "--json"]
+        code, out = run_inprocess(args + ["--sigma2", "1e200", "--d1", "5e199", "--d2", "5e199"])
+        _, unit = run_inprocess(args + ["--sigma2", "1", "--d1", "0.5", "--d2", "0.5"])
+        assert code == 0
+        big, unit = json.loads(out), json.loads(unit)
+        assert big["feasible"] is unit["feasible"] is True
+        assert big["rho_interval"] == pytest.approx(unit["rho_interval"], rel=1e-12)
+        assert big["witness"] == pytest.approx(unit["witness"], rel=1e-12)
 
     def test_overflowing_snr_is_usage_error(self):
         assert_usage_error(run_subprocess([
@@ -187,7 +209,7 @@ class TestSimulate:
         assert proc.returncode == 1
         assert "disagrees" in proc.stderr
 
-    @pytest.mark.parametrize("sigma2", ["1e200", "1e-300"])
+    @pytest.mark.parametrize("sigma2", ["1e200", "1e-300", "1.7e308"])
     def test_extreme_variance_matches_formula(self, sigma2):
         proc = run_subprocess([
             "simulate", "--sigma2", sigma2, "--rho", "0.5", "--p", "1", "--n", "1",
@@ -198,6 +220,16 @@ class TestSimulate:
         payload = json.loads(proc.stdout)
         assert payload["d1_hat"] / float(sigma2) == pytest.approx(0.4375, abs=0.01)
         assert max(abs(payload["z1"]), abs(payload["z2"])) <= 4.0
+
+    def test_tiny_power_keeps_input_correlation(self):
+        # p1_hat * p2_hat underflows near 1e-600; the inputs are still
+        # 0.5-correlated.
+        code, out = run_inprocess([
+            "simulate", "--sigma2", "1", "--rho", "0.5", "--p", "1e-300", "--n", "1",
+            "--symbols", "100000", "--seed", "3", "--json",
+        ])
+        assert code == 0
+        assert json.loads(out)["rho_tilde_hat"] == pytest.approx(0.5, abs=0.02)
 
     def test_overflowing_power_is_usage_error(self):
         assert_usage_error(run_subprocess([
@@ -260,6 +292,22 @@ class TestSweepCommand:
         ])
         assert proc.returncode == 1
         assert "x.csv" in proc.stderr
+
+    def test_huge_variance_scales_the_unit_rows(self, tmp_path):
+        def rows(sigma2):
+            path = tmp_path / f"{sigma2}.csv"
+            code, _ = run_inprocess([
+                "sweep", "--sigma2", sigma2, "--rho-grid", "0.5", "--snr-grid", "0.1,10",
+                "--out", str(path),
+            ])
+            assert code == 0
+            return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+        for big, unit in zip(rows("1.7e308"), rows("1")):
+            assert float(big[5]) == pytest.approx(float(unit[5]), rel=1e-9)  # rho_star
+            for col in (4, 6, 7):  # lower_bound, d_uncoded, dstar_or_blank
+                if unit[col]:
+                    assert float(big[col]) == pytest.approx(1.7e308 * float(unit[col]), rel=1e-12)
 
     def test_overflowing_snr_is_usage_error(self, tmp_path):
         assert_usage_error(run_subprocess([

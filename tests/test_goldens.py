@@ -1,0 +1,65 @@
+"""Byte-for-byte regression oracles for `simulate` and `sweep` at sigma2 = 1.
+
+The files under tests/data were captured from the CLI before the simulator
+became a plain symbol stream and before the bounds were normalised to a
+unit-variance source; neither change may move a byte of this output.
+"""
+
+import hashlib
+import io
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from gmacfb import cli
+
+DATA = Path(__file__).parent / "data"
+
+
+def run_inprocess(args):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli.main(args)
+    return code, buf.getvalue()
+
+
+def sweep_csv(tmp_path, rho_grid, snr_grid):
+    path = tmp_path / "sweep.csv"
+    code, _ = run_inprocess([
+        "sweep", "--sigma2", "1", "--n", "1", "--rho-grid", rho_grid, "--snr-grid", snr_grid,
+        "--out", str(path),
+    ])
+    assert code == 0
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("symbols", [1, 50_000, 200_000, 10_000_000])
+def test_simulate_json_stdout(symbols):
+    # 200,000 symbols span four batches. A single symbol has no spread,
+    # so its |z| is infinite and the run exits 1, with the report printed.
+    code, out = run_inprocess([
+        "simulate", "--sigma2", "1", "--rho", "0.5", "--p", "1", "--n", "1",
+        "--symbols", str(symbols), "--seed", "3", "--json",
+    ])
+    assert code == (1 if symbols == 1 else 0)
+    assert out.encode() == (DATA / f"simulate-{symbols}.json").read_bytes()
+
+
+def test_readme_grid_sweep_csv(tmp_path):
+    csv = sweep_csv(tmp_path, "0.1,0.3,0.5,0.7,0.9", "0.05,0.1,0.25,0.5,1,2,4")
+    assert csv == (DATA / "sweep-readme.csv").read_bytes()
+
+
+def test_stratified_grid_sweep_digest(tmp_path):
+    # One point per equal-width stratum: rho in [0, 0.99), snr log-uniform
+    # on [1e-3, 1e2]; 1,600 rows cover crossings, endpoints and both
+    # threshold sides.
+    rng = np.random.default_rng(2007)
+    k = np.arange(40)
+    rho = 0.99 * (k + rng.random(40)) / 40
+    snr = 10.0 ** (-3.0 + 5.0 * (k + rng.random(40)) / 40)
+    csv = sweep_csv(tmp_path, ",".join(map(repr, rho.tolist())), ",".join(map(repr, snr.tolist())))
+    digest = (DATA / "sweep-40x40.sha256").read_text().strip()
+    assert hashlib.sha256(csv).hexdigest() == digest

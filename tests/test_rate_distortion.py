@@ -113,6 +113,13 @@ class TestJointRd:
         assert joint_rd(HALF, DistortionPair(1e-150, 1e-150)) == pytest.approx(
             log_sum(1e-150, 1e-150), rel=1e-12)
 
+    def test_underflowing_ratio_is_an_unbounded_rate(self):
+        # d / sigma2 = 1e-330 underflows to zero: the rate is beyond any
+        # float and reads +inf, not a ZeroDivisionError.
+        huge = SourceParams(1e30, 0.5)
+        assert joint_rd(huge, DistortionPair(1e-300, 1e-300)) == math.inf
+        assert conditional_rd(huge, 1e-300) == math.inf
+
     def test_scale_invariance(self):
         big = SourceParams(2.0, 0.5)
         for d1, d2 in [(0.3, 0.3), (0.5, 0.6), (0.2, 0.9)]:

@@ -85,12 +85,12 @@ class TestGenSource:
 
 class TestUncodedEncoder:
     def test_gain_for_power(self):
-        enc = UncodedEncoder.for_power(4.0, 1.0)
+        enc = UncodedEncoder.for_power(4.0)
         assert enc.gain == 2.0
 
     def test_rejects_bad_power(self):
         with pytest.raises(ParameterError):
-            UncodedEncoder.for_power(0.0, 1.0)
+            UncodedEncoder.for_power(0.0)
 
 
 class TestRunChannel:
@@ -105,7 +105,7 @@ class TestRunChannel:
     def test_near_noiseless_limit(self):
         rng = np.random.default_rng(29)
         s1, s2 = column_sources(1000, rng)
-        enc = UncodedEncoder.for_power(1.0, 1.0)
+        enc = UncodedEncoder.for_power(1.0)
         y, _, _ = run_channel(enc, enc, s1, s2, 1e-12, rng)
         np.testing.assert_allclose(y, enc.gain * (s1 + s2), atol=1e-4)
 
@@ -114,7 +114,7 @@ class TestRunChannel:
         rng = np.random.default_rng(31)
         n = 1_000_000
         s1, s2 = column_sources(n, rng)
-        enc = UncodedEncoder.for_power(1.0, 1.0)
+        enc = UncodedEncoder.for_power(1.0)
         y, _, _ = run_channel(enc, enc, s1, s2, 1.0, rng)
         target = 4.0
         assert np.var(y) == pytest.approx(target, abs=3.0 * target * math.sqrt(2.0 / n))
@@ -165,7 +165,7 @@ class TestMmseDecoder:
         rng = np.random.default_rng(59)
         n = 500_000
         s1, s2 = column_sources(n, rng)
-        enc = UncodedEncoder.for_power(1.0, 1.0)
+        enc = UncodedEncoder.for_power(1.0)
         y, _, _ = run_channel(enc, enc, s1, s2, 1.0, rng)
         slope = float(np.vdot(s1, y) / np.vdot(y, y))
         assert slope == pytest.approx(mmse_gain(HALF, 1.0, 1.0), abs=0.003)
@@ -199,14 +199,14 @@ class TestMmseDecoder:
 
 
 class TestSimConfig:
-    def test_total_symbols(self):
-        assert SimConfig(num_blocks=10, block_len=7).total_symbols == 70
+    def test_only_length_and_seed(self):
+        assert [f.name for f in dataclasses.fields(SimConfig)] == ["symbols", "seed"]
 
     @pytest.mark.parametrize("kwargs", [
-        {"num_blocks": 0},
-        {"num_blocks": 5, "block_len": 0},
-        {"num_blocks": 5, "seed": -1},
-        {"num_blocks": 5, "seed": 2 ** 64},
+        {"symbols": 0},
+        {"symbols": -1},
+        {"symbols": 5, "seed": -1},
+        {"symbols": 5, "seed": 2 ** 64},
     ])
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ParameterError):
@@ -215,7 +215,7 @@ class TestSimConfig:
 
 class TestSimulateUncoded:
     def test_matches_closed_form_distortion(self):
-        cfg = SimConfig(num_blocks=1_000_000, seed=42)
+        cfg = SimConfig(1_000_000, seed=42)
         rep = simulate_uncoded(HALF, 1.0, 1.0, cfg)
         d_u = uncoded_distortion(HALF, 1.0, 1.0)
         assert abs(rep.d1_hat - d_u) <= 4.0 * rep.stderr_d1
@@ -226,11 +226,11 @@ class TestSimulateUncoded:
         assert not rep.p1_flagged and not rep.p2_flagged
 
     def test_deterministic_for_identical_config(self):
-        cfg = SimConfig(num_blocks=150_000, seed=99)
+        cfg = SimConfig(150_000, seed=99)
         assert simulate_uncoded(HALF, 1.0, 1.0, cfg) == simulate_uncoded(HALF, 1.0, 1.0, cfg)
 
     def test_multi_batch_run_passes_gate(self):
-        rep = simulate_uncoded(HALF, 1.0, 1.0, SimConfig(num_blocks=200_000, seed=5))
+        rep = simulate_uncoded(HALF, 1.0, 1.0, SimConfig(200_000, seed=5))
         d_u = uncoded_distortion(HALF, 1.0, 1.0)
         assert abs(rep.d1_hat - d_u) <= 4.0 * rep.stderr_d1
         assert abs(rep.d2_hat - d_u) <= 4.0 * rep.stderr_d2
@@ -241,14 +241,14 @@ class TestSimulateUncoded:
         # x_i = gain * s_i, so the input correlation statistic must match
         # the source correlation statistic to rounding error. 200,000
         # symbols span four batches, each seeded by (seed, batch index).
-        cfg = SimConfig(num_blocks=200_000, seed=3)
+        cfg = SimConfig(200_000, seed=3)
         rep = simulate_uncoded(HALF, 2.0, 1.0, cfg)
         num = 0.0
         den1 = 0.0
         den2 = 0.0
-        for batch, first in enumerate(range(0, cfg.num_blocks, _BATCH_SYMBOLS)):
+        for batch, first in enumerate(range(0, cfg.symbols, _BATCH_SYMBOLS)):
             rng = np.random.default_rng((cfg.seed, batch))
-            s1, s2 = gen_source(HALF, min(_BATCH_SYMBOLS, cfg.num_blocks - first), rng)
+            s1, s2 = gen_source(HALF, min(_BATCH_SYMBOLS, cfg.symbols - first), rng)
             num += float(np.dot(s1, s2))
             den1 += float(np.dot(s1, s1))
             den2 += float(np.dot(s2, s2))
@@ -258,7 +258,7 @@ class TestSimulateUncoded:
 
     def test_stderr_scales_with_sample_size(self):
         reps = {
-            n: simulate_uncoded(HALF, 1.0, 1.0, SimConfig(num_blocks=n, seed=8))
+            n: simulate_uncoded(HALF, 1.0, 1.0, SimConfig(n, seed=8))
             for n in (10_000, 100_000, 1_000_000)
         }
         for field in ("stderr_d1", "stderr_p1"):
@@ -267,20 +267,8 @@ class TestSimulateUncoded:
             assert r1 == pytest.approx(math.sqrt(10.0), rel=0.15)
             assert r2 == pytest.approx(math.sqrt(10.0), rel=0.15)
 
-    def test_block_structure_only_affects_bookkeeping(self):
-        flat = simulate_uncoded(HALF, 1.0, 1.0, SimConfig(num_blocks=40_000, block_len=1, seed=21))
-        blocked = simulate_uncoded(HALF, 1.0, 1.0, SimConfig(num_blocks=400, block_len=100, seed=21))
-        assert flat.d1_hat == pytest.approx(blocked.d1_hat, abs=1e-15)
-        assert flat.p1_hat == pytest.approx(blocked.p1_hat, abs=1e-15)
-        assert flat.rho_tilde_hat == pytest.approx(blocked.rho_tilde_hat, abs=1e-15)
-
-    def test_single_block_gets_per_symbol_stderr(self):
-        rep = simulate_uncoded(HALF, 1.0, 1.0, SimConfig(num_blocks=1, block_len=50_000, seed=2))
-        assert rep.stderr_d1 > 0.0
-        assert math.isfinite(rep.stderr_d1)
-
     def test_report_invariants_enforced(self):
-        rep = simulate_uncoded(HALF, 1.0, 1.0, SimConfig(num_blocks=1000, seed=1))
+        rep = simulate_uncoded(HALF, 1.0, 1.0, SimConfig(1000, seed=1))
         with pytest.raises(SimulationError):
             dataclasses.replace(rep, rho_tilde_hat=1.5)
         with pytest.raises(SimulationError):
@@ -288,11 +276,11 @@ class TestSimulateUncoded:
         with pytest.raises(SimulationError):
             dataclasses.replace(rep, p1_hat=-0.1)
 
-    @pytest.mark.parametrize("num_blocks", [1 << 20, 1 << 22])
-    def test_memory_bounded_independent_of_length(self, num_blocks):
+    @pytest.mark.parametrize("symbols", [1 << 20, 1 << 22])
+    def test_memory_bounded_independent_of_length(self, symbols):
         tracemalloc.start()
         try:
-            simulate_uncoded(HALF, 1.0, 1.0, SimConfig(num_blocks=num_blocks, seed=4))
+            simulate_uncoded(HALF, 1.0, 1.0, SimConfig(symbols, seed=4))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
