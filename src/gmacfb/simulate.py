@@ -16,20 +16,25 @@ distortions can be checked against the closed-form prediction. Being
 memoryless, the scheme needs no blocks: `simulate_uncoded` is a stream of
 symbols, each a block of one channel use.
 
-The run streams through fixed batches of 2^16 symbols, so memory stays
-bounded whatever the length. Batch b draws from its own generator seeded
-by (seed, b); the report therefore depends only on the symbol count and
-the seed, and there is no tuning knob that changes the random stream.
-Each batch is reduced to per-symbol (count, mean, M2) moments, which are
-folded into one running accumulator with the parallel update of Chan,
-Golub & LeVeque (1979).
+The run streams through fixed batches of 2^16 symbols, so the working set
+stays a few megabytes whatever the length. Batch b draws from its own
+generator seeded by (seed, b) and is reduced to per-symbol (count, mean,
+M2) moments. The batches are independent, so two streams run them: the
+calling thread takes the even batches and one helper thread the odd ones
+(one stream on a single CPU or a single batch). Only the 80 bytes of
+moments per batch are kept, and the caller folds them in batch order with
+the parallel update of Chan, Golub & LeVeque (1979). The report therefore
+depends only on the symbol count and the seed, bit for bit, whatever the
+number of streams, and there is no tuning knob that changes it.
 """
 
 from __future__ import annotations
 
 import abc
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +45,10 @@ DEFAULT_SEED = 123456789
 
 # Symbols per batch: fixed, so it never changes the random stream.
 _BATCH_SYMBOLS = 1 << 16
+
+# Streams that run batches at once. Each holds one batch's working set
+# (about 6 MB), so the cap bounds peak memory as well as threads.
+_MAX_WORKERS = 2
 
 
 class SimulationError(RuntimeError):
@@ -130,11 +139,13 @@ def gen_source(source: SourceParams, n: int, rng: np.random.Generator) -> tuple[
     s2 = sigma (rho g1 + sqrt(1 - rho^2) g2) for independent normals."""
     if n < 0:
         raise ParameterError("n must be nonnegative")
-    sigma = math.sqrt(source.sigma2)
     g = rng.standard_normal((2, n))
-    s1 = sigma * g[0]
-    s2 = sigma * (source.rho * g[0] + math.sqrt(1.0 - source.rho ** 2) * g[1])
-    return s1, s2
+    # In place: g[1] becomes rho g1 + sqrt(1 - rho^2) g2, then both rows
+    # are scaled by sigma.
+    g[1] *= math.sqrt(1.0 - source.rho ** 2)
+    g[1] += source.rho * g[0]
+    g *= math.sqrt(source.sigma2)
+    return g[0], g[1]
 
 
 def run_channel(
@@ -156,7 +167,8 @@ def run_channel(
         raise ParameterError("source blocks must be (blocks, block_len) arrays of equal shape")
     if not (math.isfinite(n0) and n0 > 0.0):
         raise ParameterError("n0 must be positive and finite")
-    z = math.sqrt(n0) * rng.standard_normal(s1.shape)
+    z = rng.standard_normal(s1.shape)
+    z *= math.sqrt(n0)
     x1 = np.empty_like(z)
     x2 = np.empty_like(z)
     y = np.empty_like(z)
@@ -175,11 +187,13 @@ def mmse_gain(source: SourceParams, p: float, n0: float) -> float:
     """Scalar conditional-mean coefficient for the uncoded scheme.
 
     c = cov(s_i, y) / var(y) = sqrt(p sigma2) (1 + rho) / (2p (1 + rho) + n0);
-    symmetry makes the same c serve both components.
+    symmetry makes the same c serve both components. The two square roots
+    are taken apart, so p sigma2 may exceed the largest double.
     """
     if not (math.isfinite(p) and p > 0.0 and math.isfinite(n0) and n0 > 0.0):
         raise ParameterError("p and n0 must be positive and finite")
-    return math.sqrt(p * source.sigma2) * (1.0 + source.rho) / (2.0 * p * (1.0 + source.rho) + n0)
+    root = math.sqrt(p) * math.sqrt(source.sigma2)
+    return root * (1.0 + source.rho) / (2.0 * p * (1.0 + source.rho) + n0)
 
 
 def mmse_decode_uncoded(
@@ -194,10 +208,13 @@ _Moments = tuple[int, np.ndarray, np.ndarray]
 
 
 def _moments(rows: np.ndarray) -> _Moments:
-    """(count, mean, M2) of each row, M2 being the sum of squared deviations."""
+    """(count, mean, M2) of each row, M2 being the sum of squared deviations.
+
+    Overwrites rows with the deviations from the mean.
+    """
     mean = rows.mean(axis=-1)
-    dev = rows - mean[..., None]
-    return rows.shape[-1], mean, np.einsum("...i,...i->...", dev, dev)
+    rows -= mean[..., None]
+    return rows.shape[-1], mean, np.einsum("...i,...i->...", rows, rows)
 
 
 def _merge(a: _Moments, b: _Moments) -> _Moments:
@@ -207,6 +224,32 @@ def _merge(a: _Moments, b: _Moments) -> _Moments:
     n = n_a + n_b
     delta = mean_b - mean_a
     return n, mean_a + delta * (n_b / n), m2_a + m2_b + delta * delta * (n_a * n_b / n)
+
+
+def _fill_rows(
+    unit: SourceParams, enc: UncodedEncoder, p: float, n0: float,
+    rng: np.random.Generator, rows: np.ndarray,
+) -> None:
+    """Run one batch of rows.shape[1] symbols and write its per-symbol
+    rows e1, e2, x1^2, x2^2, x1 x2. The batch's arrays die on return, so
+    they never overlap the next batch's."""
+    s1, s2 = gen_source(unit, rows.shape[1], rng)
+    channel = run_channel(enc, enc, s1[:, None], s2[:, None], n0, rng)
+    y, x1, x2 = (a[:, 0] for a in channel)
+    s1_hat, s2_hat = mmse_decode_uncoded(unit, p, n0, y)
+    np.subtract(s1, s1_hat, out=rows[0])
+    np.subtract(s2, s2_hat, out=rows[1])
+    np.square(rows[:2], out=rows[:2])
+    np.multiply(x1, x1, out=rows[2])
+    np.multiply(x2, x2, out=rows[3])
+    np.multiply(x1, x2, out=rows[4])
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def simulate_uncoded(source: SourceParams, p: float, n0: float, cfg: SimConfig) -> SimReport:
@@ -221,30 +264,49 @@ def simulate_uncoded(source: SourceParams, p: float, n0: float, cfg: SimConfig) 
     # or underflow long before sigma2 itself does.
     unit = SourceParams(1.0, source.rho)
     enc = UncodedEncoder.for_power(p)
+    batches = -(-cfg.symbols // _BATCH_SYMBOLS)
+    workers = min(_MAX_WORKERS, batches, _available_cpus())
+    # Mean and M2 of the five rows of every batch, each written by one stream.
+    moments = np.empty((batches, 2, 5))
+    errors: list[BaseException] = []
 
-    # Per-symbol rows e1, e2, x1^2, x2^2, x1 x2, refilled in place each
-    # batch: reusing one buffer is several times faster than fresh temporaries.
-    buf = np.empty((5, _BATCH_SYMBOLS))
+    def size(batch: int) -> int:
+        return min(_BATCH_SYMBOLS, cfg.symbols - batch * _BATCH_SYMBOLS)
+
+    def stripe(start: int) -> None:
+        # Each stream catches its own failure and the others stop at their
+        # next batch; the caller re-raises the first failure once all have
+        # stopped. Powers beyond about 1e150 overflow x^2 or its M2, which
+        # SimReport rejects as non-finite, so numpy need not warn on the
+        # way; its error state is per thread, so each stream sets its own.
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                # Rows e1, e2, x1^2, x2^2, x1 x2, refilled in place each
+                # batch: reusing one buffer is several times faster than
+                # fresh temporaries.
+                buf = np.empty((5, _BATCH_SYMBOLS))
+                for batch in range(start, batches, workers):
+                    if errors:
+                        return
+                    rows = buf[:, :size(batch)]
+                    _fill_rows(unit, enc, p, n0, np.random.default_rng((cfg.seed, batch)), rows)
+                    _, moments[batch, 0], moments[batch, 1] = _moments(rows)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=stripe, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    stripe(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
     acc: _Moments = (0, np.zeros(5), np.zeros(5))
-    # Powers beyond about 1e150 overflow x^2 or its M2; SimReport rejects
-    # the non-finite statistic, so numpy need not warn on the way.
     with np.errstate(over="ignore", invalid="ignore"):
-        for batch, first in enumerate(range(0, cfg.symbols, _BATCH_SYMBOLS)):
-            n = min(_BATCH_SYMBOLS, cfg.symbols - first)
-            rng = np.random.default_rng((cfg.seed, batch))
-            s1, s2 = gen_source(unit, n, rng)
-            channel = run_channel(enc, enc, s1[:, None], s2[:, None], n0, rng)
-            y, x1, x2 = (a[:, 0] for a in channel)
-            s1_hat, s2_hat = mmse_decode_uncoded(unit, p, n0, y)
-
-            rows = buf[:, :n]
-            np.subtract(s1, s1_hat, out=rows[0])
-            np.subtract(s2, s2_hat, out=rows[1])
-            np.square(rows[:2], out=rows[:2])
-            np.multiply(x1, x1, out=rows[2])
-            np.multiply(x2, x2, out=rows[3])
-            np.multiply(x1, x2, out=rows[4])
-            acc = _merge(acc, _moments(rows))
+        for batch in range(batches):
+            acc = _merge(acc, (size(batch), moments[batch, 0], moments[batch, 1]))
 
     count, mean, m2 = acc
     stderr = np.sqrt(m2 / (count - 1) / count) if count > 1 else np.zeros(5)

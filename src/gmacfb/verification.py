@@ -206,11 +206,48 @@ def endpoint_threshold(scale: Scale) -> CriterionResult:
     )
 
 
+def _rate_scanner(grid: np.ndarray):
+    """scan(p1, p2, n0, r_joint, r1, r2): the mask of grid points rho_tilde
+    where all three rate conditions hold,
+
+        r_joint <= 0.5 log2(1 + (p1 + p2 + 2 rho_tilde sqrt(p1 p2)) / n0),
+        r_i     <= 0.5 log2(1 + p_i (1 - rho_tilde^2) / n0).
+
+    The operations are those of the written expressions, in the same order,
+    but into buffers reused from call to call, so the mask is only valid
+    until the next call.
+    """
+    two_grid = 2.0 * grid
+    priv = 1.0 - grid * grid
+    cap = np.empty_like(grid)
+    ok = np.empty(grid.shape, dtype=bool)
+    cond = np.empty_like(ok)
+
+    def half_log2_1p_over(n0: float) -> np.ndarray:
+        np.divide(cap, n0, out=cap)
+        np.add(1.0, cap, out=cap)
+        np.log2(cap, out=cap)
+        return np.multiply(0.5, cap, out=cap)
+
+    def scan(p1: float, p2: float, n0: float, r_joint: float, r1: float, r2: float) -> np.ndarray:
+        np.multiply(two_grid, math.sqrt(p1 * p2), out=cap)
+        np.add(p1 + p2, cap, out=cap)
+        np.less_equal(r_joint, half_log2_1p_over(n0), out=ok)
+        for p, r in ((p1, r1), (p2, r2)):
+            np.multiply(p, priv, out=cap)
+            np.less_equal(r, half_log2_1p_over(n0), out=cond)
+            np.bitwise_and(ok, cond, out=ok)
+        return ok
+
+    return scan
+
+
 def feasibility_oracle(scale: Scale) -> CriterionResult:
     """Closed-form feasibility interval vs a dense rho_tilde scan of the
     three rate conditions on randomized instances."""
     rng = np.random.default_rng(424242)
     grid = np.linspace(0.0, 1.0, scale.scan_points)
+    scan = _rate_scanner(grid)
     step = grid[1] - grid[0]
     slack = step * 1.000001 + 1e-9
     problems = []
@@ -225,14 +262,9 @@ def feasibility_oracle(scale: Scale) -> CriterionResult:
         pair = DistortionPair(d1, d2)
         res = check_feasibility(source, channel, pair)
 
-        r_joint = joint_rd(source, pair)
-        r1 = conditional_rd(source, d1)
-        r2 = conditional_rd(source, d2)
-        sum_cap = 0.5 * np.log2(1.0 + (p1 + p2 + 2.0 * grid * math.sqrt(p1 * p2)) / n0)
-        priv = 1.0 - grid * grid
-        cap1 = 0.5 * np.log2(1.0 + p1 * priv / n0)
-        cap2 = 0.5 * np.log2(1.0 + p2 * priv / n0)
-        ok_mask = (r_joint <= sum_cap) & (r1 <= cap1) & (r2 <= cap2)
+        ok_mask = scan(
+            p1, p2, n0, joint_rd(source, pair), conditional_rd(source, d1), conditional_rd(source, d2)
+        )
 
         if not ok_mask.any():
             if res.feasible and res.rho_interval[1] - res.rho_interval[0] > 2.0 * step:

@@ -15,7 +15,12 @@ touches is additionally pinned by the threshold-anchor and
 endpoint-threshold criteria, which pass.
 """
 
-from gmacfb.verification import SCALES, CriterionResult, CRITERIA, run_criteria
+import math
+
+import numpy as np
+
+from gmacfb import DistortionPair, SourceParams, conditional_rd, joint_rd
+from gmacfb.verification import SCALES, CriterionResult, CRITERIA, _rate_scanner, run_criteria
 
 FULL = SCALES["full"]
 
@@ -64,6 +69,29 @@ def test_criterion_5_feasibility_oracle():
 
     result = _run(feasibility_oracle)
     assert result.passed, result.detail
+
+
+def test_rate_scan_matches_written_conditions():
+    # The buffered scan must give the mask of the three rate conditions as
+    # written, bit for bit. Instances are drawn as the oracle draws them;
+    # this seed gives empty, full and partial masks.
+    grid = np.linspace(0.0, 1.0, 100_001)
+    scan = _rate_scanner(grid)
+    rng = np.random.default_rng(20)
+    for _ in range(20):
+        s2 = rng.uniform(0.5, 2.0)
+        source = SourceParams(s2, rng.uniform(0.0, 0.95))
+        p1, p2 = rng.uniform(0.05, 4.0, size=2)
+        n0 = rng.uniform(0.25, 2.0)
+        d1, d2 = rng.uniform(0.05, 1.15, size=2) * s2
+        r_joint = joint_rd(source, DistortionPair(d1, d2))
+        r1, r2 = conditional_rd(source, d1), conditional_rd(source, d2)
+        sum_cap = 0.5 * np.log2(1.0 + (p1 + p2 + 2.0 * grid * math.sqrt(p1 * p2)) / n0)
+        priv = 1.0 - grid * grid
+        cap1 = 0.5 * np.log2(1.0 + p1 * priv / n0)
+        cap2 = 0.5 * np.log2(1.0 + p2 * priv / n0)
+        written = (r_joint <= sum_cap) & (r1 <= cap1) & (r2 <= cap2)
+        assert np.array_equal(scan(p1, p2, n0, r_joint, r1, r2), written)
 
 
 def test_criterion_6_rd_properties():

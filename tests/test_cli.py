@@ -237,6 +237,14 @@ class TestSimulate:
             "--symbols", "1000",
         ]))
 
+    def test_overflowing_power_on_two_streams_is_usage_error(self):
+        # Five batches, and x^2 itself overflows in some of them: the helper
+        # thread sets its own numpy error state, so neither stream warns.
+        assert_usage_error(run_subprocess([
+            "simulate", "--sigma2", "1", "--rho", "0.5", "--p", "1e307", "--n", "1",
+            "--symbols", "300000",
+        ]))
+
     def test_chunked_run_accepted(self):
         # 200,000 symbols stream through four fixed batches.
         code, out = run_inprocess([

@@ -2,7 +2,9 @@
 
 The files under tests/data were captured from the CLI before the simulator
 became a plain symbol stream and before the bounds were normalised to a
-unit-variance source; neither change may move a byte of this output.
+unit-variance source, and the 1,000,003-symbol run before the batches were
+split over two threads; none of these changes may move a byte of this
+output.
 """
 
 import hashlib
@@ -45,6 +47,17 @@ def test_simulate_json_stdout(symbols):
     ])
     assert code == (1 if symbols == 1 else 0)
     assert out.encode() == (DATA / f"simulate-{symbols}.json").read_bytes()
+
+
+def test_simulate_json_stdout_uneven_streams():
+    # 16 batches, the last holding 16,963 symbols, so the two streams get
+    # eight batches each and one of them ends on the partial batch.
+    code, out = run_inprocess([
+        "simulate", "--sigma2", "1", "--rho", "0.5", "--p", "1", "--n", "1",
+        "--symbols", "1000003", "--seed", "7", "--json",
+    ])
+    assert code == 0
+    assert out.encode() == (DATA / "simulate-1000003-seed7.json").read_bytes()
 
 
 def test_readme_grid_sweep_csv(tmp_path):

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -21,6 +23,7 @@ from gmacfb import (
     simulate_uncoded,
     uncoded_distortion,
 )
+from gmacfb import cli, simulate
 from gmacfb.simulate import _BATCH_SYMBOLS, FeedbackEncoder, _merge, _moments
 
 HALF = SourceParams(1.0, 0.5)
@@ -191,6 +194,13 @@ class TestMmseDecoder:
         np.testing.assert_array_equal(e1, 0.375 * y)
         np.testing.assert_array_equal(e2, e1)
 
+    def test_gain_finite_at_huge_variance(self):
+        # p * sigma2 overflows a double here; the gain itself does not.
+        gain = mmse_gain(SourceParams(1.7e308, 0.5), 2.0, 1.0)
+        assert math.isfinite(gain)
+        unit = mmse_gain(SourceParams(1.0, 0.5), 2.0, 1.0)
+        assert gain == pytest.approx(unit * math.sqrt(1.7e308), rel=1e-15)
+
     def test_vanishing_power_limit(self):
         # no signal: the estimator collapses to zero and distortion to sigma2
         src = SourceParams(1.0, 0.0)
@@ -287,13 +297,73 @@ class TestSimulateUncoded:
         assert peak < 16 * 2 ** 20
 
 
+class TestStreams:
+    """Batch b runs on stream b % 2; the caller merges in batch order."""
+
+    @pytest.mark.parametrize("symbols", [1, 65_537, 300_000, 1_000_003])
+    def test_report_independent_of_stream_count(self, monkeypatch, symbols):
+        cfg = SimConfig(symbols, seed=21)
+        reports = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(simulate, "_available_cpus", lambda: cpus)
+            reports.append(simulate_uncoded(SourceParams(2.5, 0.3), 1.7, 0.6, cfg))
+        assert reports[0] == reports[1]
+
+    def test_more_streams_than_cores_under_fast_switching(self, monkeypatch):
+        # Four streams on at most two cores, switching threads every few
+        # microseconds: a lost or misplaced batch would change the report.
+        cfg = SimConfig(1_000_003, seed=5)
+        monkeypatch.setattr(simulate, "_available_cpus", lambda: 1)
+        one = simulate_uncoded(HALF, 1.0, 1.0, cfg)
+        monkeypatch.setattr(simulate, "_available_cpus", lambda: 4)
+        monkeypatch.setattr(simulate, "_MAX_WORKERS", 4)
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            four = simulate_uncoded(HALF, 1.0, 1.0, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert four == one
+        assert threading.active_count() == threads
+
+    @staticmethod
+    def fail_on_odd_batch(monkeypatch):
+        real = simulate.run_channel
+
+        def run_channel(enc1, enc2, s1, s2, n0, rng):
+            if rng.bit_generator.seed_seq.entropy[1] % 2:
+                raise SimulationError("odd batch failed")
+            return real(enc1, enc2, s1, s2, n0, rng)
+
+        monkeypatch.setattr(simulate, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(simulate, "run_channel", run_channel)
+
+    def test_helper_stream_error_reaches_caller(self, monkeypatch):
+        self.fail_on_odd_batch(monkeypatch)
+        with pytest.raises(SimulationError, match="odd batch failed"):
+            simulate_uncoded(HALF, 1.0, 1.0, SimConfig(300_000, seed=2))
+
+    def test_helper_stream_error_is_usage_error(self, monkeypatch, capsys):
+        self.fail_on_odd_batch(monkeypatch)
+        code = cli.main([
+            "simulate", "--sigma2", "1", "--rho", "0.5", "--p", "1", "--n", "1",
+            "--symbols", "300000",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines() == ["error: odd batch failed"]
+        assert captured.out == ""
+
+
 def _fold_pieces(data, cuts):
     """Moments of data folded piece by piece, split at the given fractions."""
     points = sorted({int(c * len(data)) for c in cuts} - {0, len(data)})
     pieces = np.split(data, points)
-    acc = _moments(pieces[0])
+    # _moments overwrites its argument with the deviations.
+    acc = _moments(pieces[0].copy())
     for piece in pieces[1:]:
-        acc = _merge(acc, _moments(piece))
+        acc = _merge(acc, _moments(piece.copy()))
     return acc
 
 
@@ -325,5 +395,5 @@ class TestMerge:
 
     def test_empty_left_operand_is_identity(self):
         data = np.array([1.0, 2.0, 4.0])
-        count, mean, m2 = _merge((0, 0.0, 0.0), _moments(data))
-        assert (count, mean, m2) == _moments(data)
+        count, mean, m2 = _merge((0, 0.0, 0.0), _moments(data.copy()))
+        assert (count, mean, m2) == _moments(data.copy())
