@@ -2,9 +2,15 @@
 
 The free parameter throughout is rho_tilde, the normalized time-averaged
 correlation between the two transmitters' channel inputs. For any scheme,
-the mutual-information flow through the channel is capped by three
-capacity-style expressions in rho_tilde (`mac_rate_bounds`). Requiring the
-source description rates to fit under those caps yields:
+the source description rates must fit under three caps on the channel's
+information flow, in bits:
+
+  * sum rate: R(D1, D2) <= 1/2 log2(1 + (p1 + p2 + 2 rho_tilde sqrt(p1 p2)) / n0),
+  * user 1:   R(D1 | s2) <= 1/2 log2(1 + p1 (1 - rho_tilde^2) / n0),
+  * user 2:   R(D2 | s1) <= 1/2 log2(1 + p2 (1 - rho_tilde^2) / n0).
+
+Correlated inputs raise the sum-rate cap and lower the per-user caps.
+These conditions yield:
 
   * a feasibility test for an arbitrary distortion pair
     (`check_feasibility`), and
@@ -92,23 +98,6 @@ def _check_power_noise(p: float, n0: float) -> float:
     return snr
 
 
-def mac_rate_bounds(channel: ChannelParams, rho_tilde: float) -> tuple[float, float, float]:
-    """Capacity-style caps on the channel's information flow, in bits.
-
-    Returns (sum-rate cap, user-1 cap, user-2 cap) for inputs whose
-    normalized average correlation is rho_tilde. Correlated inputs raise
-    the sum-rate cap and lower the per-user caps.
-    """
-    rt = _check_rho_tilde(rho_tilde)
-    sum_cap = 0.5 * math.log2(
-        1.0 + (channel.p1 + channel.p2 + 2.0 * rt * math.sqrt(channel.p1 * channel.p2)) / channel.n0
-    )
-    one_minus = 1.0 - rt * rt
-    cap1 = 0.5 * math.log2(1.0 + channel.p1 * one_minus / channel.n0)
-    cap2 = 0.5 * math.log2(1.0 + channel.p2 * one_minus / channel.n0)
-    return sum_cap, cap1, cap2
-
-
 def _pow4(r: float) -> float:
     """4^r, saturating to +inf where the power overflows a float."""
     try:
@@ -120,11 +109,13 @@ def _pow4(r: float) -> float:
 def check_feasibility(source: SourceParams, channel: ChannelParams, d: DistortionPair) -> FeasibilityResult:
     """Test whether any scheme could reach the distortion pair d.
 
-    Inverts the three conditions of `mac_rate_bounds` in closed form: the
-    sum-rate condition lower-bounds rho_tilde and the two per-user
-    conditions upper-bound it, so the admissible set is an interval. The
-    conditions are necessary only; an infeasible pair is certainly
-    unreachable, a feasible one is not guaranteed reachable.
+    Inverts the three rate conditions in closed form. The sum-rate
+    condition R(D1, D2) <= 1/2 log2(1 + (p1 + p2 + 2 rt sqrt(p1 p2)) / n0)
+    lower-bounds rho_tilde; the per-user conditions
+    R(Di | s_j) <= 1/2 log2(1 + p_i (1 - rt^2) / n0), i = 1, 2, upper-bound
+    it, so the admissible set is an interval. The conditions are necessary
+    only; an infeasible pair is certainly unreachable, a feasible one is not
+    guaranteed reachable.
     """
     r_joint = joint_rd(source, d)
     r1 = conditional_rd(source, d.d1)
@@ -152,6 +143,20 @@ def check_feasibility(source: SourceParams, channel: ChannelParams, d: Distortio
     return FeasibilityResult(True, (lo, hi), 0.5 * (lo + hi))
 
 
+def _sum_rate_unit(rho: float, snr: float, below: bool, rt: float) -> float:
+    """Unit-variance sum-rate curve; below selects the low-rate branch.
+    The one copy of the formula: callers validate and scale by sigma2."""
+    den = 1.0 + 2.0 * snr * (1.0 + rt)
+    if below:
+        return 0.5 * ((1.0 + rho) / den + (1.0 - rho))
+    return math.sqrt((1.0 - rho * rho) / den)
+
+
+def _single_user_unit(rho: float, snr: float, rt: float) -> float:
+    """Unit-variance single-user curve; the one copy of the formula."""
+    return (1.0 - rho ** 2) / (1.0 + snr * (1.0 - rt * rt))
+
+
 def sum_rate_curve(source: SourceParams, p: float, n0: float, rho_tilde: float) -> float:
     """Distortion lower bound from the sum-rate condition, equal-power case.
 
@@ -163,10 +168,8 @@ def sum_rate_curve(source: SourceParams, p: float, n0: float, rho_tilde: float) 
     rt = _check_rho_tilde(rho_tilde)
     snr = _check_power_noise(p, n0)
     rho = source.rho
-    den = 1.0 + 2.0 * snr * (1.0 + rt)
-    if rho >= 1.0 or snr <= snr_threshold(source):
-        return source.sigma2 * (0.5 * ((1.0 + rho) / den + (1.0 - rho)))
-    return source.sigma2 * math.sqrt((1.0 - rho * rho) / den)
+    below = rho >= 1.0 or snr <= snr_threshold(source)
+    return source.sigma2 * _sum_rate_unit(rho, snr, below, rt)
 
 
 def single_user_curve(source: SourceParams, p: float, n0: float, rho_tilde: float) -> float:
@@ -176,7 +179,7 @@ def single_user_curve(source: SourceParams, p: float, n0: float, rho_tilde: floa
     """
     rt = _check_rho_tilde(rho_tilde)
     snr = _check_power_noise(p, n0)
-    return source.sigma2 * ((1.0 - source.rho ** 2) / (1.0 + snr * (1.0 - rt * rt)))
+    return source.sigma2 * _single_user_unit(source.rho, snr, rt)
 
 
 def endpoint_snr_threshold(source: SourceParams) -> float:
@@ -198,36 +201,43 @@ def minimax_lower_bound(source: SourceParams, p: float, n0: float) -> BoundResul
     bisection locates to |difference| <= 1e-12 times the curve value; where
     the curves are too steep for that, to float granularity in rho_tilde,
     returning the largest value the final bracket certifies.
+
+    p and n0 are validated once, here. The bracket ends rho_tilde = 0 and 1
+    go through the public curves; every midpoint, which lies in [0, 1] by
+    construction, calls the private unit-variance kernels directly. The
+    kernels are the only copy of each curve formula, so the midpoints give
+    exactly the values the public curves would.
     """
     snr = _check_power_noise(p, n0)
 
     if snr <= endpoint_snr_threshold(source):
         return BoundResult(sum_rate_curve(source, p, n0, 1.0), 1.0, "endpoint")
 
-    def curves(rt: float) -> tuple[float, float]:
-        return sum_rate_curve(source, p, n0, rt), single_user_curve(source, p, n0, rt)
-
-    upper, lo_value = curves(0.0)
+    upper, lo_value = sum_rate_curve(source, p, n0, 0.0), single_user_curve(source, p, n0, 0.0)
     if upper <= lo_value:
         # The increasing curve already dominates at rho_tilde = 0, which
         # only rounding causes (snr and rho near 0): the minimax is there.
         return BoundResult(lo_value, 0.0, "crossing")
-    hi_value, lower = curves(1.0)
+    hi_value, lower = sum_rate_curve(source, p, n0, 1.0), single_user_curve(source, p, n0, 1.0)
     if hi_value >= lower:
         # Numerically at the endpoint threshold despite the test above.
         return BoundResult(hi_value, 1.0, "endpoint")
 
+    s2, rho = source.sigma2, source.rho
+    below = rho >= 1.0 or snr <= snr_threshold(source)
     # The crossing stays inside [lo, hi], so the minimax is at least both
     # lo_value (increasing curve at lo) and hi_value (decreasing one at hi).
     lo, hi = 0.0, 1.0
     best_rt, best_gap, best_value = 0.5, math.inf, math.nan
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        upper, lower = curves(mid)
+        upper = s2 * _sum_rate_unit(rho, snr, below, mid)
+        lower = s2 * _single_user_unit(rho, snr, mid)
         g_mid = upper - lower
-        if abs(g_mid) < abs(best_gap):
-            best_rt, best_gap, best_value = mid, g_mid, upper if g_mid > 0.0 else lower
-        if abs(g_mid) <= 1e-12 * lower:
+        gap = abs(g_mid)
+        if gap < best_gap:
+            best_rt, best_gap, best_value = mid, gap, upper if g_mid > 0.0 else lower
+        if gap <= 1e-12 * lower:
             return BoundResult(best_value, best_rt, "crossing")
         if hi - lo <= 1e-17:
             break

@@ -187,13 +187,16 @@ def mmse_gain(source: SourceParams, p: float, n0: float) -> float:
     """Scalar conditional-mean coefficient for the uncoded scheme.
 
     c = cov(s_i, y) / var(y) = sqrt(p sigma2) (1 + rho) / (2p (1 + rho) + n0);
-    symmetry makes the same c serve both components. The two square roots
-    are taken apart, so p sigma2 may exceed the largest double.
+    symmetry makes the same c serve both components. It is computed as
+    sqrt(sigma2) (1 + rho) / (2 (1 + rho) sqrt(p) + n0 / sqrt(p)), so
+    neither p sigma2 nor 2p (1 + rho) is formed and either may exceed the
+    largest double.
     """
     if not (math.isfinite(p) and p > 0.0 and math.isfinite(n0) and n0 > 0.0):
         raise ParameterError("p and n0 must be positive and finite")
-    root = math.sqrt(p) * math.sqrt(source.sigma2)
-    return root * (1.0 + source.rho) / (2.0 * p * (1.0 + source.rho) + n0)
+    one_plus = 1.0 + source.rho
+    root = math.sqrt(p)
+    return math.sqrt(source.sigma2) * one_plus / (2.0 * one_plus * root + n0 / root)
 
 
 def mmse_decode_uncoded(

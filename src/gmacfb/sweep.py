@@ -75,20 +75,18 @@ def sweep_rows(spec: SweepSpec) -> list[dict]:
     return rows
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def format_csv(rows: list[dict]) -> str:
+    """One line per row in COLUMNS order: floats as repr, the flag as
+    true/false, a missing dstar as an empty cell."""
     lines = [",".join(COLUMNS)]
     for row in rows:
-        lines.append(",".join(_cell(row[col]) for col in COLUMNS))
+        dstar = row["dstar_or_blank"]
+        lines.append(
+            f"{row['rho']!r},{row['snr']!r},{row['threshold_snr']!r},"
+            f"{'true' if row['below_threshold'] else 'false'},"
+            f"{row['lower_bound']!r},{row['rho_star']!r},{row['d_uncoded']!r},"
+            f"{'' if dstar is None else repr(dstar)}"
+        )
     return "\n".join(lines) + "\n"
 
 

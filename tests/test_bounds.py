@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gmacfb import (
+    BoundResult,
     ChannelParams,
     DistortionPair,
     ParameterError,
@@ -12,13 +15,13 @@ from gmacfb import (
     check_feasibility,
     dstar_below_threshold,
     endpoint_snr_threshold,
-    mac_rate_bounds,
     minimax_lower_bound,
     single_user_curve,
     snr_threshold,
     sum_rate_curve,
     uncoded_distortion,
 )
+from gmacfb.bounds import _check_power_noise
 
 HALF = SourceParams(1.0, 0.5)
 
@@ -26,35 +29,9 @@ HALF = SourceParams(1.0, 0.5)
 # independently of the implementation).
 XI_ENDPOINT = 0.7857142857142857         # 0.5 * (1.5/1.4 + 0.5)
 XI_RHO0 = 0.5773502691896257             # sqrt(1/3)
-CAP_SUM_TIGHT = 0.792481250360578            # 0.5 * log2(3)
-CAP_IND_TIGHT = 0.2924812503605781           # 0.5 * log2(1.5)
 CROSS_RHO0_STAR = 0.3111078174659819     # root of x^4 - 4x^2 - 2x + 1 in [0,1]
 CROSS_RHO0_VALUE = 0.525427560843517     # 1 / (2 - root^2)
 DSTAR_03_02 = 0.7776315789473683         # (0.2*0.91 + 1) / (0.4*1.3 + 1)
-
-
-class TestMacRateBounds:
-    def test_tight_point_triple(self):
-        caps = mac_rate_bounds(ChannelParams(2.0 / 3.0, 2.0 / 3.0, 1.0), 0.5)
-        assert caps[0] == pytest.approx(CAP_SUM_TIGHT, abs=1e-12)
-        assert caps[1] == pytest.approx(CAP_IND_TIGHT, abs=1e-12)
-        assert caps[2] == pytest.approx(CAP_IND_TIGHT, abs=1e-12)
-
-    def test_uncorrelated_inputs_sum_rate(self):
-        ch = ChannelParams(1.5, 0.5, 2.0)
-        caps = mac_rate_bounds(ch, 0.0)
-        assert caps[0] == pytest.approx(0.5 * math.log2(1.0 + 2.0 / 2.0), abs=1e-15)
-
-    def test_fully_correlated_kills_private_rates(self):
-        caps = mac_rate_bounds(ChannelParams(3.0, 3.0, 1.0), 1.0)
-        assert caps[1] == 0.0
-        assert caps[2] == 0.0
-        assert caps[0] == pytest.approx(0.5 * math.log2(1.0 + 12.0), abs=1e-15)
-
-    @pytest.mark.parametrize("rt", [-0.1, 1.1, math.nan])
-    def test_rejects_bad_correlation(self, rt):
-        with pytest.raises(ParameterError, match="rho_tilde out of range"):
-            mac_rate_bounds(ChannelParams(1.0, 1.0, 1.0), rt)
 
 
 class TestCheckFeasibility:
@@ -94,10 +71,13 @@ class TestCheckFeasibility:
         pair = DistortionPair(0.5, 0.7)
         res = check_feasibility(src, ch, pair)
         assert res.feasible
-        caps = mac_rate_bounds(ch, res.witness)
-        assert joint_rd(src, pair) <= caps[0] + 1e-9
-        assert conditional_rd(src, pair.d1) <= caps[1] + 1e-9
-        assert conditional_rd(src, pair.d2) <= caps[2] + 1e-9
+        rt = res.witness
+        sum_cap = 0.5 * math.log2(1.0 + (ch.p1 + ch.p2 + 2.0 * rt * math.sqrt(ch.p1 * ch.p2)) / ch.n0)
+        cap1 = 0.5 * math.log2(1.0 + ch.p1 * (1.0 - rt * rt) / ch.n0)
+        cap2 = 0.5 * math.log2(1.0 + ch.p2 * (1.0 - rt * rt) / ch.n0)
+        assert joint_rd(src, pair) <= sum_cap + 1e-9
+        assert conditional_rd(src, pair.d1) <= cap1 + 1e-9
+        assert conditional_rd(src, pair.d2) <= cap2 + 1e-9
 
     def test_tight_at_full_input_correlation(self):
         # Zero conditional rates and a sum condition solvable only at
@@ -156,6 +136,12 @@ class TestCurves:
     def test_single_user_curve_values(self):
         assert single_user_curve(HALF, 2.0 / 3.0, 1.0, 0.5) == pytest.approx(0.5, abs=1e-12)
         assert single_user_curve(HALF, 0.1, 1.0, 1.0) == pytest.approx(0.75, abs=1e-12)
+
+    @pytest.mark.parametrize("rt", [-0.1, 1.1, math.nan])
+    def test_rejects_bad_correlation(self, rt):
+        for curve in (sum_rate_curve, single_user_curve):
+            with pytest.raises(ParameterError, match="rho_tilde out of range"):
+                curve(HALF, 1.0, 1.0, rt)
 
     def test_single_user_curve_degenerate_correlation(self):
         src = SourceParams(1.0, 1.0)
@@ -323,3 +309,93 @@ class TestDstarAndUncoded:
             assert abs(bound - d_u) <= 1e-9
             assert abs(bound - d_star) <= 1e-9
             assert d_u == pytest.approx(1.0 - float(rho), abs=1e-12)
+
+
+def _reference_minimax(source: SourceParams, p: float, n0: float) -> BoundResult:
+    """The bisection as it stood before the curve kernels were factored
+    out, verbatim, built on the public (validating) curves."""
+    snr = _check_power_noise(p, n0)
+
+    if snr <= endpoint_snr_threshold(source):
+        return BoundResult(sum_rate_curve(source, p, n0, 1.0), 1.0, "endpoint")
+
+    def curves(rt: float) -> tuple[float, float]:
+        return sum_rate_curve(source, p, n0, rt), single_user_curve(source, p, n0, rt)
+
+    upper, lo_value = curves(0.0)
+    if upper <= lo_value:
+        # The increasing curve already dominates at rho_tilde = 0, which
+        # only rounding causes (snr and rho near 0): the minimax is there.
+        return BoundResult(lo_value, 0.0, "crossing")
+    hi_value, lower = curves(1.0)
+    if hi_value >= lower:
+        # Numerically at the endpoint threshold despite the test above.
+        return BoundResult(hi_value, 1.0, "endpoint")
+
+    # The crossing stays inside [lo, hi], so the minimax is at least both
+    # lo_value (increasing curve at lo) and hi_value (decreasing one at hi).
+    lo, hi = 0.0, 1.0
+    best_rt, best_gap, best_value = 0.5, math.inf, math.nan
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        upper, lower = curves(mid)
+        g_mid = upper - lower
+        if abs(g_mid) < abs(best_gap):
+            best_rt, best_gap, best_value = mid, g_mid, upper if g_mid > 0.0 else lower
+        if abs(g_mid) <= 1e-12 * lower:
+            return BoundResult(best_value, best_rt, "crossing")
+        if hi - lo <= 1e-17:
+            break
+        if g_mid > 0.0:
+            lo, lo_value = mid, lower
+        else:
+            hi, hi_value = mid, upper
+    return BoundResult(max(lo_value, hi_value), best_rt, "crossing")
+
+
+def _log_uniform(lo_exp: float, hi_exp: float):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
+# rho in [0, 1), sigma2 in 1e-300..1e300, n0 in 1e-100..1e100 and
+# snr = p / n0 in 1e-8..1e14, the last three log-uniform.
+DOMAIN = dict(
+    rho=st.floats(0.0, 1.0, exclude_max=True),
+    sigma2=_log_uniform(-300.0, 300.0),
+    n0=_log_uniform(-100.0, 100.0),
+    snr=_log_uniform(-8.0, 14.0),
+)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ParameterError as exc:
+        return "ParameterError", str(exc)
+
+
+class TestMinimaxDomain:
+    @settings(max_examples=500, deadline=None)
+    @given(**DOMAIN)
+    @example(rho=0.5, sigma2=1.0, n0=1.0, snr=1e308)  # 4 p / n0 overflows
+    @example(rho=0.0, sigma2=1.0, n0=1.0, snr=5.74643496871595e-17)  # rounding tie
+    @example(rho=0.5, sigma2=1e300, n0=1e-100, snr=1e24)  # float granularity
+    def test_matches_reference_bisection(self, rho, sigma2, n0, snr):
+        src, p = SourceParams(sigma2, rho), snr * n0
+        assert _outcome(minimax_lower_bound, src, p, n0) == _outcome(_reference_minimax, src, p, n0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(**DOMAIN, t1=st.floats(0.0, 1.0), t2=st.floats(0.0, 1.0))
+    def test_curves_monotone_in_rho_tilde(self, rho, sigma2, n0, snr, t1, t2):
+        src, p = SourceParams(sigma2, rho), snr * n0
+        lo, hi = min(t1, t2), max(t1, t2)
+        assert sum_rate_curve(src, p, n0, hi) <= sum_rate_curve(src, p, n0, lo)
+        assert single_user_curve(src, p, n0, hi) >= single_user_curve(src, p, n0, lo)
+
+    @settings(max_examples=300, deadline=None)
+    @given(**DOMAIN)
+    def test_between_full_correlation_floor_and_uncoded(self, rho, sigma2, n0, snr):
+        src, p = SourceParams(sigma2, rho), snr * n0
+        bound = minimax_lower_bound(src, p, n0).lower_bound
+        assert sum_rate_curve(src, p, n0, 1.0) * (1.0 - 1e-12) <= bound
+        assert bound <= uncoded_distortion(src, p, n0) * (1.0 + 1e-12)

@@ -201,6 +201,16 @@ class TestMmseDecoder:
         unit = mmse_gain(SourceParams(1.0, 0.5), 2.0, 1.0)
         assert gain == pytest.approx(unit * math.sqrt(1.7e308), rel=1e-15)
 
+    def test_gain_finite_at_huge_power(self):
+        # 2 p (1 + rho) overflows a double here; the gain, about
+        # sqrt(sigma2) / (2 sqrt(p)), does not.
+        assert mmse_gain(HALF, 1e308, 1.0) == pytest.approx(5e-155, rel=1e-12)
+
+    def test_gain_at_tiny_power_and_huge_noise(self):
+        # n0 / p overflows a double here; n0 / sqrt(p) and the gain,
+        # about 1.5 sqrt(p) / n0, do not.
+        assert mmse_gain(HALF, 1e-200, 1e110) == pytest.approx(1.5e-210, rel=1e-12)
+
     def test_vanishing_power_limit(self):
         # no signal: the estimator collapses to zero and distortion to sigma2
         src = SourceParams(1.0, 0.0)

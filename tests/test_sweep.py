@@ -106,3 +106,21 @@ def test_columns_constant_matches_contract():
         "rho", "snr", "threshold_snr", "below_threshold",
         "lower_bound", "rho_star", "d_uncoded", "dstar_or_blank",
     )
+
+
+def test_one_minimax_call_per_grid_point(monkeypatch):
+    # The benchmark's tracer counts sweep work as minimax_lower_bound calls
+    # through gmacfb.sweep; the sweep must keep making one per point.
+    import gmacfb.sweep
+
+    spec = SweepSpec(rho_grid=(0.0, 0.4, 0.8), snr_grid=(0.01, 0.3, 2.0, 50.0), sigma2=2.5, n0=0.5)
+    expected = format_csv(sweep_rows(spec))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return minimax_lower_bound(*args, **kwargs)
+
+    monkeypatch.setattr(gmacfb.sweep, "minimax_lower_bound", counting)
+    assert format_csv(sweep_rows(spec)) == expected
+    assert len(calls) == 12
