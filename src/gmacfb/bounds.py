@@ -42,12 +42,21 @@ from .rate_distortion import conditional_rd, joint_rd
 # on the last rounding of the interval endpoints.
 _INTERVAL_SLACK = 1e-9
 
+# Slack by which each rate is lowered before the rate conditions are
+# inverted: this many bits, and this fraction of the rate. A distortion
+# rounded by an ulp moves its rate by about 1e-16 bits, and at low SNR the
+# uncoded pair meets the per-user cap within that, so an unslackened test
+# calls it unreachable on the last rounding.
+_RATE_SLACK = 1e-14
+
 # Relative slack for "at or below the SNR threshold" comparisons, so that a
 # threshold recomputed through p = snr * n0 still counts as below.
 _THRESHOLD_RTOL = 1e-12
 
 # Largest p/n0 the curves accept: they evaluate up to 1 + 4 p/n0.
 _MAX_SNR = sys.float_info.max / 4.0
+
+_LN4 = math.log(4.0)
 
 
 @dataclass(frozen=True)
@@ -98,10 +107,11 @@ def _check_power_noise(p: float, n0: float) -> float:
     return snr
 
 
-def _pow4(r: float) -> float:
-    """4^r, saturating to +inf where the power overflows a float."""
+def _pow4m1(r: float) -> float:
+    """4^r - 1, through expm1 so that small rates keep their digits,
+    saturating to +inf where the power overflows a float."""
     try:
-        return 4.0 ** r
+        return math.expm1(r * _LN4)
     except OverflowError:
         return math.inf
 
@@ -115,14 +125,18 @@ def check_feasibility(source: SourceParams, channel: ChannelParams, d: Distortio
     R(Di | s_j) <= 1/2 log2(1 + p_i (1 - rt^2) / n0), i = 1, 2, upper-bound
     it, so the admissible set is an interval. The conditions are necessary
     only; an infeasible pair is certainly unreachable, a feasible one is not
-    guaranteed reachable.
+    guaranteed reachable. Each rate is lowered by a rounding slack of about
+    1e-14 bits first, so that a pair is never ruled out by the last ulp of
+    its distortions.
     """
-    r_joint = joint_rd(source, d)
-    r1 = conditional_rd(source, d.d1)
-    r2 = conditional_rd(source, d.d2)
+    # Written so that an infinite rate stays infinite.
+    r_joint, r1, r2 = (
+        (1.0 - _RATE_SLACK) * r - _RATE_SLACK
+        for r in (joint_rd(source, d), conditional_rd(source, d.d1), conditional_rd(source, d.d2))
+    )
 
     # Sum-rate condition: 4^r_joint - 1 <= (p1 + p2 + 2 rt sqrt(p1 p2)) / n0.
-    lo = ((_pow4(r_joint) - 1.0) * channel.n0 - channel.p1 - channel.p2) / (
+    lo = (_pow4m1(r_joint) * channel.n0 - channel.p1 - channel.p2) / (
         2.0 * math.sqrt(channel.p1 * channel.p2)
     )
     lo = max(lo, 0.0)
@@ -131,7 +145,7 @@ def check_feasibility(source: SourceParams, channel: ChannelParams, d: Distortio
     # radicand rules out every rho_tilde.
     hi = 1.0
     for r_i, p_i in ((r1, channel.p1), (r2, channel.p2)):
-        radicand = 1.0 - (_pow4(r_i) - 1.0) * channel.n0 / p_i
+        radicand = 1.0 - _pow4m1(r_i) * channel.n0 / p_i
         if radicand < 0.0:
             return FeasibilityResult(False, None, None)
         hi = min(hi, math.sqrt(radicand))

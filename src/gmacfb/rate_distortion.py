@@ -45,6 +45,12 @@ def _unit_targets(source: SourceParams, d: DistortionPair) -> tuple[float, float
     return min(d.d1 / source.sigma2, 1.0), min(d.d2 / source.sigma2, 1.0)
 
 
+def _one_minus_rho2(rho: float) -> float:
+    """1 - rho^2 as (1 - rho)(1 + rho): accurate to a few ulps as rho -> 1,
+    where 1 - rho * rho keeps no correct digit."""
+    return (1.0 - rho) * (1.0 + rho)
+
+
 def classify_region(source: SourceParams, d: DistortionPair) -> Region:
     """Locate (d1, d2) in the region partition.
 
@@ -54,12 +60,13 @@ def classify_region(source: SourceParams, d: DistortionPair) -> Region:
     boundaries, so the tie-break never changes a rate value.
     """
     rho = source.rho
+    cond_var = _one_minus_rho2(rho)
     d1, d2 = _unit_targets(source, d)
     # Region A in cross-multiplied form, symmetric and division-free:
     # d2 <= (1 - rho^2 - d1) / (1 - d1) on d1 <= 1 - rho^2.
-    if (d1 + d2) - d1 * d2 <= 1.0 - rho * rho:
+    if (d1 + d2) - d1 * d2 <= cond_var:
         return Region.A
-    if max(d1, d2) > (1.0 - rho * rho) + rho * rho * min(d1, d2):
+    if max(d1, d2) > cond_var + rho * rho * min(d1, d2):
         return Region.C
     return Region.B
 
@@ -75,19 +82,28 @@ def joint_rd(source: SourceParams, d: DistortionPair) -> float:
         # covers the other. The region-B formula degenerates to 0/0 on the
         # diagonal here, and this is its continuity limit.
         return 0.5 * math.log2(1.0 / min(d1, d2))
+    cond_var = _one_minus_rho2(rho)
     region = classify_region(source, d)
     if region is Region.A:
         prod = d1 * d2
         if prod < sys.float_info.min:
             # The product underflows; sum the logs instead.
-            return 0.5 * (math.log2(1.0 / d1) + math.log2(1.0 / d2) + math.log2(1.0 - rho * rho))
-        return 0.5 * math.log2((1.0 - rho * rho) / prod)
+            return 0.5 * (math.log2(1.0 / d1) + math.log2(1.0 / d2) + math.log2(cond_var))
+        return 0.5 * math.log2(cond_var / prod)
     if region is Region.B:
-        gap = rho - math.sqrt((1.0 - d1) * (1.0 - d2))
-        den = d1 * d2 - gap * gap
+        # den = d1 d2 - gap^2 with gap = rho - q, q = sqrt((1 - d1)(1 - d2)).
+        # Written so, it cancels to nothing as rho -> 1. As the product
+        # (a - gap)(a + gap), a = sqrt(d1 d2), each factor is formed from
+        # terms that do not cancel: 1 - q = (d1 + d2 - d1 d2) / (1 + q), and
+        # a - gap = (1 - rho) - (1 - a - q), where (a + q)^2 + w^2 = 1 for
+        # w = sqrt(d1 (1 - d2)) - sqrt(d2 (1 - d1)).
+        q = math.sqrt((1.0 - d1) * (1.0 - d2))
+        gap = (d1 + d2 - d1 * d2) / (1.0 + q) - (1.0 - rho)
+        w = math.sqrt(d1 * (1.0 - d2)) - math.sqrt(d2 * (1.0 - d1))
+        den = ((1.0 - rho) - w * w / (1.0 + math.sqrt(1.0 - w * w))) * (math.sqrt(d1 * d2) + gap)
         if den <= 0.0:
             raise ArithmeticError("inconsistent region evaluation")
-        return 0.5 * math.log2((1.0 - rho * rho) / den)
+        return 0.5 * math.log2(cond_var / den)
     return 0.5 * math.log2(1.0 / min(d1, d2))
 
 
@@ -100,7 +116,7 @@ def conditional_rd(source: SourceParams, d: float) -> float:
     if not (math.isfinite(d) and d > 0.0):
         raise ParameterError("d must be positive and finite")
     u = d / source.sigma2
-    cond_var = 1.0 - source.rho ** 2
+    cond_var = _one_minus_rho2(source.rho)
     if u >= cond_var:
         return 0.0
     # A ratio that underflowed to 0 stands for a rate beyond any float.

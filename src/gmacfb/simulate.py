@@ -35,6 +35,7 @@ import math
 import os
 import sys
 import threading
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,6 +256,41 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _run_streams(items: int, stream: Callable[[Iterator[int]], None]) -> None:
+    """Run items 0..items-1 on at most _MAX_WORKERS streams at once.
+
+    Stream w gets the items w, w + workers, ... as an iterator: the calling
+    thread takes w = 0 and helper threads the rest (one stream on a single
+    CPU or a single item). Each stream sets up its own buffers, and its own
+    numpy error state, which is per thread. A stream's failure is caught,
+    the other streams stop at their next item, and the first failure is
+    re-raised in the caller once every stream has stopped.
+    """
+    workers = min(_MAX_WORKERS, items, _available_cpus())
+    errors: list[BaseException] = []
+
+    def stripe(start: int) -> Iterator[int]:
+        for item in range(start, items, workers):
+            if errors:
+                return
+            yield item
+
+    def run(start: int) -> None:
+        try:
+            stream(stripe(start))
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
 def simulate_uncoded(source: SourceParams, p: float, n0: float, cfg: SimConfig) -> SimReport:
     """Full pipeline: draw sources, run the channel with uncoded encoders,
     decode, and fold per-symbol statistics batch by batch.
@@ -268,43 +304,26 @@ def simulate_uncoded(source: SourceParams, p: float, n0: float, cfg: SimConfig) 
     unit = SourceParams(1.0, source.rho)
     enc = UncodedEncoder.for_power(p)
     batches = -(-cfg.symbols // _BATCH_SYMBOLS)
-    workers = min(_MAX_WORKERS, batches, _available_cpus())
     # Mean and M2 of the five rows of every batch, each written by one stream.
     moments = np.empty((batches, 2, 5))
-    errors: list[BaseException] = []
 
     def size(batch: int) -> int:
         return min(_BATCH_SYMBOLS, cfg.symbols - batch * _BATCH_SYMBOLS)
 
-    def stripe(start: int) -> None:
-        # Each stream catches its own failure and the others stop at their
-        # next batch; the caller re-raises the first failure once all have
-        # stopped. Powers beyond about 1e150 overflow x^2 or its M2, which
-        # SimReport rejects as non-finite, so numpy need not warn on the
-        # way; its error state is per thread, so each stream sets its own.
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                # Rows e1, e2, x1^2, x2^2, x1 x2, refilled in place each
-                # batch: reusing one buffer is several times faster than
-                # fresh temporaries.
-                buf = np.empty((5, _BATCH_SYMBOLS))
-                for batch in range(start, batches, workers):
-                    if errors:
-                        return
-                    rows = buf[:, :size(batch)]
-                    _fill_rows(unit, enc, p, n0, np.random.default_rng((cfg.seed, batch)), rows)
-                    _, moments[batch, 0], moments[batch, 1] = _moments(rows)
-        except BaseException as exc:
-            errors.append(exc)
+    def stream(my_batches: Iterator[int]) -> None:
+        # Powers beyond about 1e150 overflow x^2 or its M2, which SimReport
+        # rejects as non-finite, so numpy need not warn on the way.
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Rows e1, e2, x1^2, x2^2, x1 x2, refilled in place each batch:
+            # reusing one buffer is several times faster than fresh
+            # temporaries.
+            buf = np.empty((5, _BATCH_SYMBOLS))
+            for batch in my_batches:
+                rows = buf[:, :size(batch)]
+                _fill_rows(unit, enc, p, n0, np.random.default_rng((cfg.seed, batch)), rows)
+                _, moments[batch, 0], moments[batch, 1] = _moments(rows)
 
-    threads = [threading.Thread(target=stripe, args=(w,)) for w in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    stripe(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+    _run_streams(batches, stream)
 
     acc: _Moments = (0, np.zeros(5), np.zeros(5))
     with np.errstate(over="ignore", invalid="ignore"):

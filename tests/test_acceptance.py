@@ -16,10 +16,13 @@ endpoint-threshold criteria, which pass.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
+import pytest
 
-from gmacfb import DistortionPair, SourceParams, conditional_rd, joint_rd
+from gmacfb import DistortionPair, SourceParams, conditional_rd, joint_rd, simulate, verification
 from gmacfb.verification import SCALES, CriterionResult, CRITERIA, _rate_scanner, run_criteria
 
 FULL = SCALES["full"]
@@ -71,12 +74,13 @@ def test_criterion_5_feasibility_oracle():
     assert result.passed, result.detail
 
 
-def test_rate_scan_matches_written_conditions():
-    # The buffered scan must give the mask of the three rate conditions as
-    # written, bit for bit. Instances are drawn as the oracle draws them;
-    # this seed gives empty, full and partial masks.
+def _check_rate_scan_against_written_conditions():
+    # The blocked scan must give the mask of the three rate conditions as
+    # written, bit for bit, over the whole grid. Instances are drawn as the
+    # oracle draws them; this seed gives empty, full and partial masks.
     grid = np.linspace(0.0, 1.0, 100_001)
-    scan = _rate_scanner(grid)
+    scan = _rate_scanner(grid)()
+    blocks = range(0, len(grid), verification._SCAN_BLOCK)
     rng = np.random.default_rng(20)
     for _ in range(20):
         s2 = rng.uniform(0.5, 2.0)
@@ -84,14 +88,79 @@ def test_rate_scan_matches_written_conditions():
         p1, p2 = rng.uniform(0.05, 4.0, size=2)
         n0 = rng.uniform(0.25, 2.0)
         d1, d2 = rng.uniform(0.05, 1.15, size=2) * s2
-        r_joint = joint_rd(source, DistortionPair(d1, d2))
-        r1, r2 = conditional_rd(source, d1), conditional_rd(source, d2)
+        rates = (p1, p2, n0, joint_rd(source, DistortionPair(d1, d2)), conditional_rd(source, d1), conditional_rd(source, d2))
+        _, _, _, r_joint, r1, r2 = rates
         sum_cap = 0.5 * np.log2(1.0 + (p1 + p2 + 2.0 * grid * math.sqrt(p1 * p2)) / n0)
         priv = 1.0 - grid * grid
         cap1 = 0.5 * np.log2(1.0 + p1 * priv / n0)
         cap2 = 0.5 * np.log2(1.0 + p2 * priv / n0)
         written = (r_joint <= sum_cap) & (r1 <= cap1) & (r2 <= cap2)
-        assert np.array_equal(scan(p1, p2, n0, r_joint, r1, r2), written)
+        # Each mask lives until the stream's next call, so copy it.
+        assert np.array_equal(np.concatenate([scan(start, *rates).copy() for start in blocks]), written)
+        hits = np.flatnonzero(written)
+        span = (hits[0], hits[-1]) if len(hits) else (-1, -1)
+        assert verification._feasible_span(scan, len(grid), rates) == span
+
+
+def test_rate_scan_matches_written_conditions():
+    _check_rate_scan_against_written_conditions()
+
+
+def test_rate_scan_block_edges(monkeypatch):
+    # 4,099 does not divide 100,001: block edges fall all over the grid and
+    # the last block is ragged.
+    monkeypatch.setattr(verification, "_SCAN_BLOCK", 4_099)
+    _check_rate_scan_against_written_conditions()
+
+
+def test_feasibility_oracle_independent_of_stream_count(monkeypatch):
+    results = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(simulate, "_available_cpus", lambda: cpus)
+        results.append(verification.feasibility_oracle(SCALES["quick"]))
+    # Four streams on at most two cores, switching threads every few
+    # microseconds: a lost or misplaced span would change the result.
+    monkeypatch.setattr(simulate, "_available_cpus", lambda: 4)
+    monkeypatch.setattr(simulate, "_MAX_WORKERS", 4)
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results.append(verification.feasibility_oracle(SCALES["quick"]))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+    assert results[0] == results[1] == results[2]
+    assert results[0].passed
+
+
+def test_feasibility_oracle_helper_stream_error_reaches_caller(monkeypatch):
+    # With two streams the helper thread scans the odd instances; it fails
+    # on its first one. The caller's stream waits inside any instance it
+    # starts until the helper has stopped, so it must scan at most one.
+    real = verification._feasible_span
+    failed = threading.Event()
+    helpers = []
+    scanned = []
+
+    def fail_on_odd_instances(scan, points, rates):
+        if threading.current_thread() is not threading.main_thread():
+            helpers.append(threading.current_thread())
+            failed.set()
+            raise ArithmeticError("odd instance failed")
+        assert failed.wait(timeout=30)
+        helpers[0].join(timeout=30)
+        assert not helpers[0].is_alive()
+        scanned.append(rates)
+        return real(scan, points, rates)
+
+    monkeypatch.setattr(simulate, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(verification, "_feasible_span", fail_on_odd_instances)
+    threads = threading.active_count()
+    with pytest.raises(ArithmeticError, match="odd instance failed"):
+        verification.feasibility_oracle(SCALES["quick"])
+    assert threading.active_count() == threads
+    assert len(scanned) <= 1
 
 
 def test_criterion_6_rd_properties():

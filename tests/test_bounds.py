@@ -9,6 +9,7 @@ from gmacfb import (
     BoundResult,
     ChannelParams,
     DistortionPair,
+    FeasibilityResult,
     ParameterError,
     SourceParams,
     below_snr_threshold,
@@ -56,6 +57,12 @@ class TestCheckFeasibility:
         ch = ChannelParams(1.0, 1.0, 1.0)
         res = check_feasibility(HALF, ch, DistortionPair(1e-300, 1e-300))
         assert not res.feasible
+
+    def test_rate_beyond_any_float_is_infeasible(self):
+        # d / sigma2 underflows to 0, so every rate is infinite.
+        src = SourceParams(1e300, 0.5)
+        res = check_feasibility(src, ChannelParams(1.0, 1.0, 1.0), DistortionPair(1e-300, 1e-300))
+        assert res == FeasibilityResult(False, None, None)
 
     def test_zero_rate_admits_everything(self):
         src = SourceParams(1.0, 0.0)
@@ -399,3 +406,19 @@ class TestMinimaxDomain:
         bound = minimax_lower_bound(src, p, n0).lower_bound
         assert sum_rate_curve(src, p, n0, 1.0) * (1.0 - 1e-12) <= bound
         assert bound <= uncoded_distortion(src, p, n0) * (1.0 + 1e-12)
+
+
+class TestFeasibilityDomain:
+    @settings(max_examples=500, deadline=None)
+    @given(**DOMAIN)
+    # The pair meets the per-user cap within an ulp of D_u.
+    @example(rho=0.0, sigma2=10.0 ** 114.5, n0=1.0, snr=1e-08)
+    # The written region-B rate cancels to 3 % off as rho -> 1.
+    @example(rho=0.9999999999999999, sigma2=7.768058856545415e111, n0=6.428802127937147e93, snr=93058753.68406802)
+    def test_uncoded_pair_is_feasible(self, rho, sigma2, n0, snr):
+        # Uncoded transmission reaches (D_u, D_u), so the necessary
+        # conditions must admit it.
+        src, p = SourceParams(sigma2, rho), snr * n0
+        d_u = uncoded_distortion(src, p, n0)
+        res = check_feasibility(src, ChannelParams(p, p, n0), DistortionPair(d_u, d_u))
+        assert res.feasible

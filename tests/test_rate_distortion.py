@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gmacfb import (
     DistortionPair,
@@ -238,3 +240,59 @@ class TestSymmetricInverse:
     def test_rejects_negative_rate(self):
         with pytest.raises(ParameterError):
             symmetric_joint_rd_inverse(HALF, -0.1)
+
+
+def _log_uniform(lo_exp: float, hi_exp: float):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
+# rho in [0, 1], sigma2 log-uniform in 1e-300..1e300 and each d / sigma2
+# log-uniform in 1e-100..10, so every region and the clamp at sigma2 occur.
+RD_DOMAIN = dict(
+    rho=st.floats(0.0, 1.0),
+    sigma2=_log_uniform(-300.0, 300.0),
+    u1=_log_uniform(-100.0, 1.0),
+    u2=_log_uniform(-100.0, 1.0),
+)
+
+
+def _pair(sigma2, *ratios):
+    ds = [sigma2 * u for u in ratios]
+    assume(all(d > 0.0 for d in ds))
+    return ds
+
+
+@pytest.mark.parametrize("rho", [1.0 - 2.0 ** -20, 1.0 - 2.0 ** -40, 1.0 - 2.0 ** -52])
+@pytest.mark.parametrize("d", [0.01, 0.5, 0.9])
+def test_region_b_diagonal_accurate_near_full_correlation(rho, d):
+    # On the diagonal the region-B rate is 0.5 log2((1 + rho) / (2d - (1 - rho))),
+    # whose operands here are exact or one rounding away.
+    src = SourceParams(1.0, rho)
+    assert classify_region(src, DistortionPair(d, d)) is Region.B
+    expected = 0.5 * math.log2((1.0 + rho) / (2.0 * d - (1.0 - rho)))
+    assert joint_rd(src, DistortionPair(d, d)) == pytest.approx(expected, rel=1e-14)
+
+
+class TestJointRdDomain:
+    @settings(max_examples=500, deadline=None)
+    @given(**RD_DOMAIN)
+    def test_symmetric(self, rho, sigma2, u1, u2):
+        src = SourceParams(sigma2, rho)
+        d1, d2 = _pair(sigma2, u1, u2)
+        assert joint_rd(src, DistortionPair(d1, d2)) == joint_rd(src, DistortionPair(d2, d1))
+
+    @settings(max_examples=500, deadline=None)
+    @given(**RD_DOMAIN, u3=_log_uniform(-100.0, 1.0))
+    def test_nonincreasing_in_each_distortion(self, rho, sigma2, u1, u2, u3):
+        src = SourceParams(sigma2, rho)
+        lo, hi, other = _pair(sigma2, min(u1, u3), max(u1, u3), u2)
+        assert joint_rd(src, DistortionPair(hi, other)) <= joint_rd(src, DistortionPair(lo, other)) + 1e-12
+        assert joint_rd(src, DistortionPair(other, hi)) <= joint_rd(src, DistortionPair(other, lo)) + 1e-12
+
+    @settings(max_examples=500, deadline=None)
+    @given(**RD_DOMAIN)
+    def test_at_least_the_larger_conditional_rate(self, rho, sigma2, u1, u2):
+        src = SourceParams(sigma2, rho)
+        d1, d2 = _pair(sigma2, u1, u2)
+        floor = max(conditional_rd(src, d1), conditional_rd(src, d2))
+        assert joint_rd(src, DistortionPair(d1, d2)) >= floor - 1e-12
