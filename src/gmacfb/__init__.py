@@ -30,15 +30,9 @@ from .rate_distortion import (
 )
 from .simulate import (
     DEFAULT_SEED,
-    FeedbackEncoder,
     SimConfig,
     SimReport,
     SimulationError,
-    UncodedEncoder,
-    gen_source,
-    mmse_decode_uncoded,
-    mmse_gain,
-    run_channel,
     simulate_uncoded,
 )
 from .sweep import COLUMNS, SweepSpec, format_csv, sweep_rows, write_sweep_csv
@@ -50,7 +44,6 @@ __all__ = [
     "DEFAULT_SEED",
     "DistortionPair",
     "FeasibilityResult",
-    "FeedbackEncoder",
     "ParameterError",
     "Region",
     "SimConfig",
@@ -58,7 +51,6 @@ __all__ = [
     "SimulationError",
     "SourceParams",
     "SweepSpec",
-    "UncodedEncoder",
     "below_snr_threshold",
     "check_feasibility",
     "classify_region",
@@ -67,12 +59,8 @@ __all__ = [
     "dstar_below_threshold",
     "endpoint_snr_threshold",
     "format_csv",
-    "gen_source",
     "joint_rd",
     "minimax_lower_bound",
-    "mmse_decode_uncoded",
-    "mmse_gain",
-    "run_channel",
     "simulate_uncoded",
     "single_user_curve",
     "snr_threshold",

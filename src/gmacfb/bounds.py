@@ -31,10 +31,16 @@ Every distortion is the unit-variance value times sigma2, taken last.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
-from .model import ChannelParams, DistortionPair, ParameterError, SourceParams, snr_threshold
+from .model import (
+    ChannelParams,
+    DistortionPair,
+    ParameterError,
+    SourceParams,
+    _check_power_noise,
+    snr_threshold,
+)
 from .rate_distortion import conditional_rd, joint_rd
 
 # Absolute slack, in rho_tilde units, when deciding whether the feasible
@@ -52,9 +58,6 @@ _RATE_SLACK = 1e-14
 # Relative slack for "at or below the SNR threshold" comparisons, so that a
 # threshold recomputed through p = snr * n0 still counts as below.
 _THRESHOLD_RTOL = 1e-12
-
-# Largest p/n0 the curves accept: they evaluate up to 1 + 4 p/n0.
-_MAX_SNR = sys.float_info.max / 4.0
 
 _LN4 = math.log(4.0)
 
@@ -93,20 +96,6 @@ def _check_rho_tilde(rho_tilde: float) -> float:
     return rt
 
 
-def _check_power_noise(p: float, n0: float) -> float:
-    """Validate p and n0 and return snr = p / n0, through which alone
-    the curves depend on them."""
-    # Chained comparisons also reject nan; they run on every curve call.
-    if not 0.0 < p < math.inf:
-        raise ParameterError("p must be positive and finite")
-    if not 0.0 < n0 < math.inf:
-        raise ParameterError("n0 must be positive and finite")
-    snr = p / n0
-    if snr > _MAX_SNR:
-        raise ParameterError("p / n0 too large: 4 p / n0 overflows")
-    return snr
-
-
 def _pow4m1(r: float) -> float:
     """4^r - 1, through expm1 so that small rates keep their digits,
     saturating to +inf where the power overflows a float."""
@@ -136,9 +125,11 @@ def check_feasibility(source: SourceParams, channel: ChannelParams, d: Distortio
     )
 
     # Sum-rate condition: 4^r_joint - 1 <= (p1 + p2 + 2 rt sqrt(p1 p2)) / n0.
+    # Divided by the roots one at a time: p1 p2, and 2 sqrt(p1 p2) near
+    # the largest powers, would overflow or underflow.
     lo = (_pow4m1(r_joint) * channel.n0 - channel.p1 - channel.p2) / (
-        2.0 * math.sqrt(channel.p1 * channel.p2)
-    )
+        2.0 * math.sqrt(channel.p1)
+    ) / math.sqrt(channel.p2)
     lo = max(lo, 0.0)
 
     # Per-user conditions: rt^2 <= 1 - (4^r_i - 1) n0 / p_i; a negative

@@ -9,7 +9,11 @@ reduces to this one.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+
+# Largest p/n0 accepted: the curves evaluate up to 1 + 4 p/n0.
+_MAX_SNR = sys.float_info.max / 4.0
 
 
 class ParameterError(ValueError):
@@ -27,6 +31,21 @@ def _check_channel(p1: float, p2: float, n0: float) -> None:
     for name, val in (("p1", p1), ("p2", p2), ("n0", n0)):
         if not (math.isfinite(val) and val > 0.0):
             raise ParameterError(f"{name} must be positive and finite")
+
+
+def _check_power_noise(p: float, n0: float) -> float:
+    """Validate a common power p and noise variance n0 and return
+    snr = p / n0, through which alone the bounds and the simulator depend
+    on them."""
+    # Chained comparisons also reject nan; they run on every curve call.
+    if not 0.0 < p < math.inf:
+        raise ParameterError("p must be positive and finite")
+    if not 0.0 < n0 < math.inf:
+        raise ParameterError("n0 must be positive and finite")
+    snr = p / n0
+    if snr > _MAX_SNR:
+        raise ParameterError("p / n0 too large: 4 p / n0 overflows")
+    return snr
 
 
 def _check_distortion(d1: float, d2: float) -> None:

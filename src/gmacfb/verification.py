@@ -271,6 +271,16 @@ def _feasible_span(scan, points: int, rates: tuple[float, ...]) -> tuple[int, in
     return first, last
 
 
+def _oracle_instance(rng: np.random.Generator) -> tuple[SourceParams, ChannelParams, DistortionPair]:
+    """One random instance of the feasibility oracle's distribution."""
+    s2 = rng.uniform(0.5, 2.0)
+    rho = rng.uniform(0.0, 0.95)
+    p1, p2 = rng.uniform(0.05, 4.0, size=2)
+    n0 = rng.uniform(0.25, 2.0)
+    d1, d2 = rng.uniform(0.05, 1.15, size=2) * s2
+    return SourceParams(s2, rho), ChannelParams(p1, p2, n0), DistortionPair(d1, d2)
+
+
 def feasibility_oracle(scale: Scale) -> CriterionResult:
     """Closed-form feasibility interval vs a dense rho_tilde scan of the
     three rate conditions on randomized instances.
@@ -290,17 +300,12 @@ def feasibility_oracle(scale: Scale) -> CriterionResult:
     closed_forms = []
     rates = []
     for _ in range(scale.instances):
-        s2 = rng.uniform(0.5, 2.0)
-        rho = rng.uniform(0.0, 0.95)
-        p1, p2 = rng.uniform(0.05, 4.0, size=2)
-        n0 = rng.uniform(0.25, 2.0)
-        d1, d2 = rng.uniform(0.05, 1.15, size=2) * s2
-        source = SourceParams(s2, rho)
-        pair = DistortionPair(d1, d2)
-        closed_forms.append(check_feasibility(source, ChannelParams(p1, p2, n0), pair))
-        rates.append(
-            (p1, p2, n0, joint_rd(source, pair), conditional_rd(source, d1), conditional_rd(source, d2))
-        )
+        source, channel, pair = _oracle_instance(rng)
+        closed_forms.append(check_feasibility(source, channel, pair))
+        rates.append((
+            channel.p1, channel.p2, channel.n0,
+            joint_rd(source, pair), conditional_rd(source, pair.d1), conditional_rd(source, pair.d2),
+        ))
 
     spans = [(-1, -1)] * scale.instances
 

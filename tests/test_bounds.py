@@ -22,7 +22,8 @@ from gmacfb import (
     sum_rate_curve,
     uncoded_distortion,
 )
-from gmacfb.bounds import _check_power_noise
+from gmacfb import verification
+from gmacfb.model import _check_power_noise
 
 HALF = SourceParams(1.0, 0.5)
 
@@ -63,6 +64,18 @@ class TestCheckFeasibility:
         src = SourceParams(1e300, 0.5)
         res = check_feasibility(src, ChannelParams(1.0, 1.0, 1.0), DistortionPair(1e-300, 1e-300))
         assert res == FeasibilityResult(False, None, None)
+
+    @pytest.mark.parametrize("factor", [4.0 ** 300, 4.0 ** -300])
+    def test_invariant_under_power_of_four_scaling(self, factor):
+        # The conditions depend on p1 / n0 and p2 / n0 only, and scaling
+        # all three by a power of four moves every intermediate, including
+        # the roots of p1 and p2, by an exact power of two. p1 p2 itself
+        # would overflow or underflow.
+        rng = np.random.default_rng(424242)
+        for _ in range(2000):
+            source, ch, pair = verification._oracle_instance(rng)
+            scaled = ChannelParams(ch.p1 * factor, ch.p2 * factor, ch.n0 * factor)
+            assert check_feasibility(source, scaled, pair) == check_feasibility(source, ch, pair)
 
     def test_zero_rate_admits_everything(self):
         src = SourceParams(1.0, 0.0)

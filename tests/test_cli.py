@@ -1,12 +1,15 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gmacfb import cli
 
@@ -111,6 +114,29 @@ class TestBound:
         assert proc.stdout == "feasible = false\n"
         assert proc.stderr == ""
 
+    @pytest.mark.parametrize("n, p", [("1", "1e-170"), ("1", "1e200"), ("1e-200", "1")])
+    def test_extreme_powers_are_infeasible_not_a_traceback(self, n, p):
+        # p1 p2 underflows (1e-340) or overflows (1e400) a double. At
+        # snr = 1e200 the joint rate, about 335.3 bits at d = 1e-101,
+        # exceeds the sum cap of about 333.2 bits, whatever n0 is.
+        d = "0.9" if p == "1e-170" else "1e-101"
+        proc = run_subprocess([
+            "bound", "--sigma2", "1", "--rho", "0.5", "--n", n,
+            "--p1", p, "--p2", p, "--d1", d, "--d2", d,
+        ])
+        assert proc.returncode == 0
+        assert proc.stdout == "feasible = false\n"
+        assert proc.stderr == ""
+
+    def test_largest_powers_feasibility_is_finite(self):
+        # 2 sqrt(p1 p2) overflows here while the sum cap is slack.
+        code, out = run_inprocess([
+            "bound", "--sigma2", "1", "--rho", "0.99", "--n", "1",
+            "--p1", "1.7e308", "--p2", "1.7e308", "--d1", "1e-150", "--d2", "1e-150", "--json",
+        ])
+        assert code == 0
+        assert json.loads(out)["rho_interval"] == [0.0, pytest.approx(1.0, abs=1e-12)]
+
     def test_huge_variance_feasibility_is_finite(self):
         args = ["bound", "--rho", "0.5", "--n", "1", "--p1", "1", "--p2", "1", "--json"]
         code, out = run_inprocess(args + ["--sigma2", "1e200", "--d1", "5e199", "--d2", "5e199"])
@@ -131,6 +157,13 @@ class TestBound:
         assert (
             run_inprocess(args + ["--n", "1e308", "--p", "1e308"])
             == run_inprocess(args + ["--n", "1", "--p", "1"])
+        )
+
+    def test_general_case_only_p_over_n_matters(self):
+        args = ["bound", "--sigma2", "1", "--rho", "0.5", "--d1", "0.6", "--d2", "0.5"]
+        assert (
+            run_inprocess(args + ["--n", "1e308", "--p1", "1e308", "--p2", "1e308"])
+            == run_inprocess(args + ["--n", "1", "--p1", "1", "--p2", "1"])
         )
 
     def test_general_feasible_reports_interval(self):
@@ -232,17 +265,53 @@ class TestSimulate:
         assert json.loads(out)["rho_tilde_hat"] == pytest.approx(0.5, abs=0.02)
 
     def test_overflowing_power_is_usage_error(self):
-        assert_usage_error(run_subprocess([
-            "simulate", "--sigma2", "1", "--rho", "0.5", "--p", "1e300", "--n", "1",
-            "--symbols", "1000",
-        ]))
+        # Where 4 p / n0 overflows, simulate refuses (p, n0) as the bounds do.
+        args = ["--sigma2", "1", "--rho", "0.5", "--p", "1e308", "--n", "1"]
+        proc = run_subprocess(["simulate", *args, "--symbols", "1000"])
+        assert_usage_error(proc)
+        assert proc.stderr == run_subprocess(["bound", *args]).stderr
+        assert proc.stderr == "error: p / n0 too large: 4 p / n0 overflows\n"
 
-    def test_overflowing_power_on_two_streams_is_usage_error(self):
-        # Five batches, and x^2 itself overflows in some of them: the helper
-        # thread sets its own numpy error state, so neither stream warns.
-        assert_usage_error(run_subprocess([
+    @pytest.mark.parametrize("p, n", [("1e200", "1e200"), ("1e160", "1")])
+    def test_huge_power_depends_on_the_ratio_only(self, p, n):
+        # x^2 and its M2 would overflow in physical units; the run is
+        # made at unit power and scaled by p once.
+        proc = run_subprocess([
+            "simulate", "--sigma2", "1", "--rho", "0.5", "--p", p, "--n", n,
+            "--symbols", "100000", "--seed", "3", "--json",
+        ])
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert all(math.isfinite(v) for v in payload.values())
+        assert payload["p1_hat"] / float(p) == pytest.approx(1.0, abs=0.02)
+
+    def test_huge_power_on_two_streams_exits_cleanly(self):
+        # Five batches on two streams at p = 1e307: no statistic
+        # overflows, so neither stream warns.
+        proc = run_subprocess([
             "simulate", "--sigma2", "1", "--rho", "0.5", "--p", "1e307", "--n", "1",
             "--symbols", "300000",
+        ])
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
+    def test_tiny_powers_audit_power_as_at_unit_power(self):
+        # The M2 of x^2 underflowed at p = 1e-170, so stderr_p1 read 0 and
+        # p1_flagged true; the audit is now the unit-power one.
+        args = ["simulate", "--sigma2", "1", "--rho", "0.5", "--symbols", "1000", "--seed", "3", "--json"]
+        _, tiny = run_inprocess(args + ["--p", "1e-170", "--n", "1e-170"])
+        _, unit = run_inprocess(args + ["--p", "1", "--n", "1"])
+        tiny, unit = json.loads(tiny), json.loads(unit)
+        assert tiny["stderr_p1"] > 0.0
+        assert tiny["p1_flagged"] is unit["p1_flagged"] is False
+        assert tiny["p2_flagged"] is unit["p2_flagged"]
+
+    def test_symbol_count_beyond_memory_is_usage_error(self):
+        # The moments table of 10^18 symbols would take 1.08 PiB; numpy
+        # refuses it before allocating anything.
+        assert_usage_error(run_subprocess([
+            "simulate", "--sigma2", "1", "--rho", "0.5", "--p", "1", "--n", "1",
+            "--symbols", "1000000000000000000",
         ]))
 
     def test_chunked_run_accepted(self):
@@ -355,6 +424,42 @@ class TestVerifyCommand:
     def test_quick_and_full_flags_exclusive(self):
         proc = run_subprocess(["verify", "--quick", "--full"])
         assert proc.returncode == 2
+
+
+# Positive doubles, log-uniform over the whole range, subnormals included.
+ANY = st.floats(-1074.0, 1024.0, exclude_max=True).map(lambda e: 2.0 ** e)
+
+
+class TestNoTraceback:
+    """No finite input makes the CLI raise: every run ends in exit 0, 1 or 2,
+    and no reported number is nan."""
+
+    @staticmethod
+    def exit_code(args):
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = cli.main([str(a) for a in args] + ["--json"])
+        assert "NaN" not in out.getvalue()
+        return code
+
+    @settings(max_examples=400, deadline=None)
+    @given(sigma2=ANY, rho=ANY, n=ANY, p1=ANY, p2=ANY, d1=ANY, d2=ANY)
+    @example(sigma2=1.0, rho=0.5, n=1.0, p1=1e-170, p2=1e-170, d1=0.9, d2=0.9)  # p1 p2 underflowed
+    def test_bound_general_case(self, sigma2, rho, n, p1, p2, d1, d2):
+        code = self.exit_code([
+            "bound", "--sigma2", sigma2, "--rho", rho, "--n", n,
+            "--p1", p1, "--p2", p2, "--d1", d1, "--d2", d2,
+        ])
+        assert code in (0, 1, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sigma2=ANY, rho=ANY, p=ANY, n=ANY, symbols=st.integers(1, 1000), seed=st.integers(0, 2 ** 64 - 1))
+    def test_simulate(self, sigma2, rho, p, n, symbols, seed):
+        code = self.exit_code([
+            "simulate", "--sigma2", sigma2, "--rho", rho, "--p", p, "--n", n,
+            "--symbols", symbols, "--seed", seed,
+        ])
+        assert code in (0, 1, 2)
 
 
 def test_unknown_command_usage_error():

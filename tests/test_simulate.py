@@ -6,215 +6,172 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gmacfb import (
     ParameterError,
     SimConfig,
-    SimReport,
     SimulationError,
     SourceParams,
-    UncodedEncoder,
-    gen_source,
-    mmse_decode_uncoded,
-    mmse_gain,
-    run_channel,
     simulate_uncoded,
     uncoded_distortion,
 )
 from gmacfb import cli, simulate
-from gmacfb.simulate import _BATCH_SYMBOLS, FeedbackEncoder, _merge, _moments
+from gmacfb.simulate import (
+    _BATCH_SYMBOLS,
+    _merge,
+    _moments,
+    gen_source,
+    mmse_decode_uncoded,
+    run_channel,
+)
 
 HALF = SourceParams(1.0, 0.5)
-
-
-class ZeroEncoder(FeedbackEncoder):
-    def emit(self, source, past_outputs, k):
-        return np.zeros(len(source))
-
-
-class EchoEncoder(FeedbackEncoder):
-    """Repeats each block's previous channel output; records what it saw."""
-
-    def __init__(self):
-        self.seen = []
-
-    def emit(self, source, past_outputs, k):
-        self.seen.append(past_outputs.copy())
-        return past_outputs[:, -1] if k > 0 else np.zeros(len(source))
-
-
-class NanEncoder(FeedbackEncoder):
-    def emit(self, source, past_outputs, k):
-        return np.full(len(source), math.nan)
-
-
-def column_sources(n, rng):
-    """n blocks of one symbol each."""
-    s1, s2 = gen_source(HALF, n, rng)
-    return s1[:, None], s2[:, None]
 
 
 class TestGenSource:
     def test_fully_correlated_components_coincide(self):
         rng = np.random.default_rng(7)
-        s1, s2 = gen_source(SourceParams(2.0, 1.0), 10_000, rng)
+        s1, s2 = gen_source(1.0, 10_000, rng)
         assert np.array_equal(s1, s2)
 
     def test_independent_components_decorrelated(self):
         rng = np.random.default_rng(11)
         n = 1_000_000
-        s1, s2 = gen_source(SourceParams(1.0, 0.0), n, rng)
+        s1, s2 = gen_source(0.0, n, rng)
         r = np.mean(s1 * s2) / math.sqrt(np.mean(s1 * s1) * np.mean(s2 * s2))
         assert abs(r) < 4.0 / math.sqrt(n)
 
     def test_empirical_correlation_tracks_rho(self):
         rng = np.random.default_rng(13)
-        s1, s2 = gen_source(HALF, 1_000_000, rng)
+        s1, s2 = gen_source(0.5, 1_000_000, rng)
         r = np.mean(s1 * s2) / math.sqrt(np.mean(s1 * s1) * np.mean(s2 * s2))
         assert r == pytest.approx(0.5, abs=0.004)
 
-    def test_empirical_variances_track_sigma2(self):
+    def test_empirical_variances_are_unit(self):
         rng = np.random.default_rng(17)
-        src = SourceParams(2.5, 0.3)
         n = 400_000
-        s1, s2 = gen_source(src, n, rng)
-        # var of the variance estimate is 2 sigma^4 / n
-        radius = 4.0 * src.sigma2 * math.sqrt(2.0 / n)
-        assert abs(np.mean(s1 * s1) - src.sigma2) < radius
-        assert abs(np.mean(s2 * s2) - src.sigma2) < radius
+        s1, s2 = gen_source(0.3, n, rng)
+        # var of the variance estimate is 2 / n
+        radius = 4.0 * math.sqrt(2.0 / n)
+        assert abs(np.mean(s1 * s1) - 1.0) < radius
+        assert abs(np.mean(s2 * s2) - 1.0) < radius
 
 
 class TestUncodedEncoder:
+    """The uncoded encoder sends s_i at amplitude sqrt(p / n0) against
+    unit noise, which is power p against noise n0."""
+
     def test_gain_for_power(self):
-        enc = UncodedEncoder.for_power(4.0)
-        assert enc.gain == 2.0
+        rep = simulate_uncoded(HALF, 4.0, 2.0, SimConfig(200_000, seed=19))
+        for p_hat, se in ((rep.p1_hat, rep.stderr_p1), (rep.p2_hat, rep.stderr_p2)):
+            assert abs(p_hat - 4.0) <= 4.0 * se
+            # each power is p times a chi-square with one degree of freedom
+            assert se == pytest.approx(4.0 * math.sqrt(2.0 / 200_000), rel=0.05)
 
     def test_rejects_bad_power(self):
-        with pytest.raises(ParameterError):
-            UncodedEncoder.for_power(0.0)
+        for p, n0 in ((0.0, 1.0), (1.0, 0.0), (math.inf, 1.0), (math.nan, 1.0)):
+            with pytest.raises(ParameterError):
+                simulate_uncoded(HALF, p, n0, SimConfig(10))
 
 
 class TestRunChannel:
     def test_zero_encoders_pass_noise_through(self):
         rng = np.random.default_rng(23)
         n = 200_000
-        s1, s2 = column_sources(n, rng)
-        y, x1, x2 = run_channel(ZeroEncoder(), ZeroEncoder(), s1, s2, 2.0, rng)
-        assert np.all(x1 == 0.0) and np.all(x2 == 0.0)
-        assert np.var(y) == pytest.approx(2.0, abs=4.0 * 2.0 * math.sqrt(2.0 / n))
+        s1, s2 = gen_source(0.5, n, rng)
+        y = run_channel(0.0, s1, s2, rng)
+        assert np.var(y) == pytest.approx(1.0, abs=4.0 * math.sqrt(2.0 / n))
 
     def test_near_noiseless_limit(self):
         rng = np.random.default_rng(29)
-        s1, s2 = column_sources(1000, rng)
-        enc = UncodedEncoder.for_power(1.0)
-        y, _, _ = run_channel(enc, enc, s1, s2, 1e-12, rng)
-        np.testing.assert_allclose(y, enc.gain * (s1 + s2), atol=1e-4)
+        s1, s2 = gen_source(0.5, 1000, rng)
+        y = run_channel(1e6, s1, s2, rng)
+        np.testing.assert_allclose(y / 1e6, s1 + s2, atol=1e-4)
 
     def test_output_variance_identity(self):
-        # var(y) = 2 p (1 + rho) + n0 for the uncoded scheme
+        # var(y) = 2 a^2 (1 + rho) + 1 for the uncoded scheme
         rng = np.random.default_rng(31)
         n = 1_000_000
-        s1, s2 = column_sources(n, rng)
-        enc = UncodedEncoder.for_power(1.0)
-        y, _, _ = run_channel(enc, enc, s1, s2, 1.0, rng)
+        s1, s2 = gen_source(0.5, n, rng)
+        y = run_channel(1.0, s1, s2, rng)
         target = 4.0
         assert np.var(y) == pytest.approx(target, abs=3.0 * target * math.sqrt(2.0 / n))
 
-    def test_feedback_sees_previous_output_exactly(self):
-        rng = np.random.default_rng(43)
-        s1, s2 = gen_source(HALF, 500, rng)
-        echo = EchoEncoder()
-        y, x1, _ = run_channel(echo, ZeroEncoder(), s1[None, :], s2[None, :], 1.0, rng)
-        assert x1[0, 0] == 0.0
-        for k in range(1, 500):
-            assert x1[0, k] == y[0, k - 1]
-            assert np.array_equal(echo.seen[k], y[:, :k])
-
-    def test_each_block_sees_only_its_own_past(self):
-        # 8 independent blocks of 16 channel uses: at k = 0 every block
-        # starts from an empty past, and later it hears only itself.
-        rng = np.random.default_rng(67)
-        s1, s2 = gen_source(HALF, 8 * 16, rng)
-        echo = EchoEncoder()
-        y, x1, _ = run_channel(
-            echo, ZeroEncoder(), s1.reshape(8, 16), s2.reshape(8, 16), 1.0, rng
-        )
-        assert y.shape == x1.shape == (8, 16)
-        assert echo.seen[0].shape == (8, 0)
-        assert np.all(x1[:, 0] == 0.0)
-        for k in range(1, 16):
-            assert echo.seen[k].shape == (8, k)
-            assert np.array_equal(x1[:, k], y[:, k - 1])
-
     def test_rejects_length_mismatch(self):
         rng = np.random.default_rng(47)
-        with pytest.raises(ParameterError, match="equal shape"):
-            run_channel(ZeroEncoder(), ZeroEncoder(), np.zeros((3, 1)), np.zeros((4, 1)), 1.0, rng)
+        with pytest.raises(ValueError):
+            run_channel(1.0, np.zeros(3), np.zeros(4), rng)
 
-    def test_rejects_non_finite_symbols(self):
-        rng = np.random.default_rng(53)
-        s1, s2 = column_sources(10, rng)
-        with pytest.raises(SimulationError, match="non-finite symbol"):
-            run_channel(NanEncoder(), ZeroEncoder(), s1, s2, 1.0, rng)
+
+def decode_gain(rho, snr):
+    """The decoder's coefficient c, read off a unit output."""
+    return float(mmse_decode_uncoded(rho, snr, np.ones(1))[0])
 
 
 class TestMmseDecoder:
     def test_gain_value(self):
-        assert mmse_gain(HALF, 1.0, 1.0) == pytest.approx(0.375, abs=1e-15)
+        assert decode_gain(0.5, 1.0) == pytest.approx(0.375, abs=1e-15)
 
     def test_gain_matches_regression_slope(self):
         rng = np.random.default_rng(59)
         n = 500_000
-        s1, s2 = column_sources(n, rng)
-        enc = UncodedEncoder.for_power(1.0)
-        y, _, _ = run_channel(enc, enc, s1, s2, 1.0, rng)
+        s1, s2 = gen_source(0.5, n, rng)
+        y = run_channel(1.0, s1, s2, rng)
         slope = float(np.vdot(s1, y) / np.vdot(y, y))
-        assert slope == pytest.approx(mmse_gain(HALF, 1.0, 1.0), abs=0.003)
+        assert slope == pytest.approx(decode_gain(0.5, 1.0), abs=0.003)
 
     def test_mse_identity_at_random_parameters(self):
-        # sigma2 - c^2 var(y) must equal the closed-form distortion.
+        # 1 - c^2 var(y) must equal the closed-form distortion over sigma2.
         rng = np.random.default_rng(61)
         for _ in range(20):
             s2 = float(rng.uniform(0.2, 3.0))
             rho = float(rng.uniform(0.0, 1.0))
             p = float(rng.uniform(0.05, 5.0))
             n0 = float(rng.uniform(0.1, 2.0))
-            src = SourceParams(s2, rho)
-            c = mmse_gain(src, p, n0)
-            var_y = 2.0 * p * (1.0 + rho) + n0
-            assert s2 - c * c * var_y == pytest.approx(
-                uncoded_distortion(src, p, n0), rel=1e-12
+            c = decode_gain(rho, p / n0)
+            var_y = 2.0 * (p / n0) * (1.0 + rho) + 1.0
+            assert s2 * (1.0 - c * c * var_y) == pytest.approx(
+                uncoded_distortion(SourceParams(s2, rho), p, n0), rel=1e-12
             )
 
     def test_decode_applies_same_gain_to_both(self):
         y = np.array([1.0, -2.0, 0.5])
-        e1, e2 = mmse_decode_uncoded(HALF, 1.0, 1.0, y)
-        np.testing.assert_array_equal(e1, 0.375 * y)
-        np.testing.assert_array_equal(e2, e1)
+        np.testing.assert_array_equal(mmse_decode_uncoded(0.5, 1.0, y), 0.375 * y)
+        # A batch's error rows both subtract the one estimate c y.
+        rows = np.empty((5, 1000))
+        simulate._fill_rows(0.5, 1.0, np.random.default_rng(3), rows)
+        rng = np.random.default_rng(3)
+        s1, s2 = gen_source(0.5, 1000, rng)
+        est = mmse_decode_uncoded(0.5, 1.0, run_channel(1.0, s1, s2, rng))
+        np.testing.assert_array_equal(rows[0], (s1 - est) ** 2)
+        np.testing.assert_array_equal(rows[1], (s2 - est) ** 2)
 
     def test_gain_finite_at_huge_variance(self):
-        # p * sigma2 overflows a double here; the gain itself does not.
-        gain = mmse_gain(SourceParams(1.7e308, 0.5), 2.0, 1.0)
-        assert math.isfinite(gain)
-        unit = mmse_gain(SourceParams(1.0, 0.5), 2.0, 1.0)
-        assert gain == pytest.approx(unit * math.sqrt(1.7e308), rel=1e-15)
+        # sigma2^2 overflows a double here; the decoder never sees sigma2,
+        # and the distortions are the unit run's times sigma2.
+        cfg = SimConfig(1000, seed=2)
+        big = simulate_uncoded(SourceParams(1.7e308, 0.5), 2.0, 1.0, cfg)
+        unit = simulate_uncoded(SourceParams(1.0, 0.5), 2.0, 1.0, cfg)
+        assert big.d1_hat == unit.d1_hat * 1.7e308
+        assert big.stderr_d2 == unit.stderr_d2 * 1.7e308
 
     def test_gain_finite_at_huge_power(self):
-        # 2 p (1 + rho) overflows a double here; the gain, about
-        # sqrt(sigma2) / (2 sqrt(p)), does not.
-        assert mmse_gain(HALF, 1e308, 1.0) == pytest.approx(5e-155, rel=1e-12)
+        # At the largest accepted snr, 2 snr (1 + rho) is still finite,
+        # and the gain is about 1 / (2 sqrt(snr)).
+        snr = sys.float_info.max / 4.0
+        assert decode_gain(0.5, snr) == pytest.approx(0.5 / math.sqrt(snr), rel=1e-12)
 
     def test_gain_at_tiny_power_and_huge_noise(self):
-        # n0 / p overflows a double here; n0 / sqrt(p) and the gain,
-        # about 1.5 sqrt(p) / n0, do not.
-        assert mmse_gain(HALF, 1e-200, 1e110) == pytest.approx(1.5e-210, rel=1e-12)
+        # p / n0 = 1e-310 is subnormal; the gain, about 1.5 sqrt(snr),
+        # is not.
+        assert decode_gain(0.5, 1e-310) == pytest.approx(1.5e-155, rel=1e-6)
 
     def test_vanishing_power_limit(self):
         # no signal: the estimator collapses to zero and distortion to sigma2
         src = SourceParams(1.0, 0.0)
-        assert mmse_gain(src, 1e-24, 1.0) == pytest.approx(0.0, abs=1e-11)
+        assert decode_gain(0.0, 1e-24) == pytest.approx(0.0, abs=1e-11)
         assert uncoded_distortion(src, 1e-24, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -268,7 +225,7 @@ class TestSimulateUncoded:
         den2 = 0.0
         for batch, first in enumerate(range(0, cfg.symbols, _BATCH_SYMBOLS)):
             rng = np.random.default_rng((cfg.seed, batch))
-            s1, s2 = gen_source(HALF, min(_BATCH_SYMBOLS, cfg.symbols - first), rng)
+            s1, s2 = gen_source(0.5, min(_BATCH_SYMBOLS, cfg.symbols - first), rng)
             num += float(np.dot(s1, s2))
             den1 += float(np.dot(s1, s1))
             den2 += float(np.dot(s2, s2))
@@ -296,6 +253,11 @@ class TestSimulateUncoded:
         with pytest.raises(SimulationError):
             dataclasses.replace(rep, p1_hat=-0.1)
 
+    def test_symbol_count_beyond_any_array_is_parameter_error(self):
+        # numpy refuses a moments table of this size before allocating.
+        with pytest.raises(ParameterError, match="symbols too many"):
+            simulate_uncoded(HALF, 1.0, 1.0, SimConfig(10 ** 22))
+
     @pytest.mark.parametrize("symbols", [1 << 20, 1 << 22])
     def test_memory_bounded_independent_of_length(self, symbols):
         tracemalloc.start()
@@ -305,6 +267,43 @@ class TestSimulateUncoded:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+
+
+def _log2_uniform(lo: int, hi: int):
+    return st.floats(lo, hi).map(lambda e: 2.0 ** e)
+
+
+class TestScaling:
+    """The run depends on p and n0 through p / n0 alone and scales by sigma2
+    and p at the end, so power-of-two scalings move only the scaled fields,
+    and those by exactly the factor."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rho=st.floats(0.0, 1.0),
+        sigma2=_log2_uniform(-500, 500),
+        p=_log2_uniform(-500, 500),
+        n0=_log2_uniform(-500, 500),
+        k=st.integers(-400, 400),
+        j=st.integers(-400, 400),
+        seed=st.integers(0, 2 ** 64 - 1),
+    )
+    @example(rho=0.5, sigma2=1.0, p=1e-170, n0=1e-170, k=400, j=0, seed=3)  # M2 of x^2 underflowed
+    def test_exact_under_power_of_two_scaling(self, rho, sigma2, p, n0, k, j, seed):
+        cfg = SimConfig(2000, seed)
+        base = dataclasses.asdict(simulate_uncoded(SourceParams(sigma2, rho), p, n0, cfg))
+
+        scaled = simulate_uncoded(SourceParams(sigma2, rho), math.ldexp(p, k), math.ldexp(n0, k), cfg)
+        expected = dict(base)
+        for key in ("p1_hat", "p2_hat", "stderr_p1", "stderr_p2"):
+            expected[key] = math.ldexp(base[key], k)
+        assert dataclasses.asdict(scaled) == expected
+
+        scaled = simulate_uncoded(SourceParams(math.ldexp(sigma2, j), rho), p, n0, cfg)
+        expected = dict(base)
+        for key in ("d1_hat", "d2_hat", "stderr_d1", "stderr_d2"):
+            expected[key] = math.ldexp(base[key], j)
+        assert dataclasses.asdict(scaled) == expected
 
 
 class TestStreams:
@@ -341,10 +340,10 @@ class TestStreams:
     def fail_on_odd_batch(monkeypatch):
         real = simulate.run_channel
 
-        def run_channel(enc1, enc2, s1, s2, n0, rng):
+        def run_channel(a, s1, s2, rng):
             if rng.bit_generator.seed_seq.entropy[1] % 2:
                 raise SimulationError("odd batch failed")
-            return real(enc1, enc2, s1, s2, n0, rng)
+            return real(a, s1, s2, rng)
 
         monkeypatch.setattr(simulate, "_available_cpus", lambda: 2)
         monkeypatch.setattr(simulate, "run_channel", run_channel)
