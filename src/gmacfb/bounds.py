@@ -56,7 +56,8 @@ _INTERVAL_SLACK = 1e-9
 _RATE_SLACK = 1e-14
 
 # Relative slack for "at or below the SNR threshold" comparisons, so that a
-# threshold recomputed through p = snr * n0 still counts as below.
+# boundary point recomputed from the threshold (a p, n0 pair whose ratio
+# lands an ulp off it, or thr * j / 20) still counts as below.
 _THRESHOLD_RTOL = 1e-12
 
 _LN4 = math.log(4.0)
@@ -124,22 +125,30 @@ def check_feasibility(source: SourceParams, channel: ChannelParams, d: Distortio
         for r in (joint_rd(source, d), conditional_rd(source, d.d1), conditional_rd(source, d.d2))
     )
 
-    # Sum-rate condition: 4^r_joint - 1 <= (p1 + p2 + 2 rt sqrt(p1 p2)) / n0.
-    # Divided by the roots one at a time: p1 p2, and 2 sqrt(p1 p2) near
-    # the largest powers, would overflow or underflow.
-    lo = (_pow4m1(r_joint) * channel.n0 - channel.p1 - channel.p2) / (
-        2.0 * math.sqrt(channel.p1)
-    ) / math.sqrt(channel.p2)
-    lo = max(lo, 0.0)
+    # Only the ratios p_i / n0 are formed, so scaling (p1, p2, n0) by a power
+    # of two that keeps them normal changes nothing. An overflowed 4^r reads
+    # as a rate that no finite ratio reaches, so no 0 * inf or inf / inf is
+    # evaluated below.
+    q_joint, q1, q2 = (_pow4m1(r) for r in (r_joint, r1, r2))
+    if math.inf in (q_joint, q1, q2):
+        return FeasibilityResult(False, None, None)
 
     # Per-user conditions: rt^2 <= 1 - (4^r_i - 1) n0 / p_i; a negative
-    # radicand rules out every rho_tilde.
+    # radicand rules out every rho_tilde, and a zero rate bounds nothing.
     hi = 1.0
-    for r_i, p_i in ((r1, channel.p1), (r2, channel.p2)):
-        radicand = 1.0 - _pow4m1(r_i) * channel.n0 / p_i
+    for q_i, p_i in ((q1, channel.p1), (q2, channel.p2)):
+        radicand = 1.0 - q_i * (channel.n0 / p_i) if q_i > 0.0 else 1.0
         if radicand < 0.0:
             return FeasibilityResult(False, None, None)
         hi = min(hi, math.sqrt(radicand))
+
+    # Sum-rate condition: 4^r_joint - 1 <= s1 + s2 + 2 rt sqrt(s1 s2) with
+    # s_i = p_i / n0, divided by the roots one at a time. Both s_i are finite
+    # where the excess is positive; one that underflowed to 0 correlates nothing.
+    s1, s2 = channel.p1 / channel.n0, channel.p2 / channel.n0
+    lo = max(q_joint - s1 - s2, 0.0)
+    if lo > 0.0:
+        lo = lo / (2.0 * math.sqrt(s1)) / math.sqrt(s2) if min(s1, s2) > 0.0 else math.inf
 
     # hi <= 1 always, so this also rejects lower endpoints above 1.
     if lo > hi + _INTERVAL_SLACK:
@@ -165,10 +174,14 @@ def _single_user_unit(rho: float, snr: float, rt: float) -> float:
 def sum_rate_curve(source: SourceParams, p: float, n0: float, rho_tilde: float) -> float:
     """Distortion lower bound from the sum-rate condition, equal-power case.
 
-    Two branches depending on whether p/n0 is below the SNR threshold
-    (the diagonal of the joint rate-distortion function is then inverted
-    on its low-rate branch) or above it (high-rate branch). Nonincreasing
-    in rho_tilde.
+    Inverts the diagonal of the joint rate-distortion function at the cap
+    1/2 log2(1 + 2 (p/n0)(1 + rho_tilde)), on its low-rate branch when p/n0
+    is at or below the SNR threshold and on its high-rate branch above it.
+    The branch follows the SNR, not the cap, so away from the minimax's
+    operating point this is not the exact sum-rate bound (rho = 0.5,
+    p/n0 = 0.6, rho_tilde = 1: 0.470588, where `symmetric_joint_rd_inverse`
+    gives 0.469668). At rho_star the two agree to 1e-12 relative, so the
+    minimax is unaffected. Nonincreasing in rho_tilde.
     """
     rt = _check_rho_tilde(rho_tilde)
     snr = _check_power_noise(p, n0)

@@ -74,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="bound-vs-scheme grid to CSV")
     sweep.add_argument("--sigma2", type=float, default=1.0)
-    sweep.add_argument("--n", type=float, default=1.0, help="noise variance")
     sweep.add_argument("--rho-grid", type=_grid, required=True, help="comma-separated rho values")
     sweep.add_argument("--snr-grid", type=_grid, required=True, help="comma-separated P/N values")
     sweep.add_argument("--out", required=True, help="output CSV path")
@@ -178,12 +177,7 @@ def _cmd_simulate(args: argparse.Namespace) -> _Outcome:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> _Outcome:
-    spec = SweepSpec(
-        rho_grid=args.rho_grid,
-        snr_grid=args.snr_grid,
-        sigma2=args.sigma2,
-        n0=args.n,
-    )
+    spec = SweepSpec(rho_grid=args.rho_grid, snr_grid=args.snr_grid, sigma2=args.sigma2)
     rows = write_sweep_csv(spec, args.out)
     return {"path": args.out, "rows": rows}, [f"wrote {len(rows)} rows to {args.out}"], None
 

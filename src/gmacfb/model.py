@@ -20,19 +20,6 @@ class ParameterError(ValueError):
     """A parameter is outside its allowed domain."""
 
 
-def _check_source(sigma2: float, rho: float) -> None:
-    if not (math.isfinite(sigma2) and sigma2 > 0.0):
-        raise ParameterError("variance must be positive and finite")
-    if not (math.isfinite(rho) and 0.0 <= rho <= 1.0):
-        raise ParameterError("rho out of range [0, 1]")
-
-
-def _check_channel(p1: float, p2: float, n0: float) -> None:
-    for name, val in (("p1", p1), ("p2", p2), ("n0", n0)):
-        if not (math.isfinite(val) and val > 0.0):
-            raise ParameterError(f"{name} must be positive and finite")
-
-
 def _check_power_noise(p: float, n0: float) -> float:
     """Validate a common power p and noise variance n0 and return
     snr = p / n0, through which alone the bounds and the simulator depend
@@ -48,12 +35,6 @@ def _check_power_noise(p: float, n0: float) -> float:
     return snr
 
 
-def _check_distortion(d1: float, d2: float) -> None:
-    for name, val in (("d1", d1), ("d2", d2)):
-        if not (math.isfinite(val) and val > 0.0):
-            raise ParameterError(f"{name} must be positive and finite")
-
-
 @dataclass(frozen=True)
 class SourceParams:
     """Memoryless bivariate Gaussian source with common variance.
@@ -66,7 +47,10 @@ class SourceParams:
     rho: float
 
     def __post_init__(self) -> None:
-        _check_source(self.sigma2, self.rho)
+        if not (math.isfinite(self.sigma2) and self.sigma2 > 0.0):
+            raise ParameterError("variance must be positive and finite")
+        if not (math.isfinite(self.rho) and 0.0 <= self.rho <= 1.0):
+            raise ParameterError("rho out of range [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -78,7 +62,9 @@ class ChannelParams:
     n0: float
 
     def __post_init__(self) -> None:
-        _check_channel(self.p1, self.p2, self.n0)
+        for name, val in (("p1", self.p1), ("p2", self.p2), ("n0", self.n0)):
+            if not (math.isfinite(val) and val > 0.0):
+                raise ParameterError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -92,7 +78,9 @@ class DistortionPair:
     d2: float
 
     def __post_init__(self) -> None:
-        _check_distortion(self.d1, self.d2)
+        for name, val in (("d1", self.d1), ("d2", self.d2)):
+            if not (math.isfinite(val) and val > 0.0):
+                raise ParameterError(f"{name} must be positive and finite")
 
 
 def snr_threshold(source: SourceParams) -> float:

@@ -1,8 +1,10 @@
 """Parameter sweeps over (rho, SNR) written as stable CSV.
 
 One row per grid point, fixed column order, '.' decimals, LF line endings,
-full double precision (shortest round-trip float repr). The dstar column
-is filled only where the SNR is at or below the uncoded-optimality
+full double precision (shortest round-trip float repr). The bounds depend
+on the powers through p/n0 alone, so each row is a function of
+(rho, snr, sigma2) only and is evaluated at p = snr, n0 = 1. The dstar
+column is filled only where the SNR is at or below the uncoded-optimality
 threshold; above it the exact optimum is unknown and the cell stays blank.
 """
 
@@ -29,12 +31,11 @@ COLUMNS = (
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid of correlations and SNRs to evaluate at fixed sigma2, n0."""
+    """Grid of correlations and SNRs to evaluate at fixed sigma2."""
 
     rho_grid: tuple[float, ...]
     snr_grid: tuple[float, ...]
     sigma2: float = 1.0
-    n0: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.rho_grid or not self.snr_grid:
@@ -47,8 +48,6 @@ class SweepSpec:
                 raise ParameterError("snr grid values must be positive and finite")
         if not (math.isfinite(self.sigma2) and self.sigma2 > 0.0):
             raise ParameterError("sigma2 must be positive and finite")
-        if not (math.isfinite(self.n0) and self.n0 > 0.0):
-            raise ParameterError("n0 must be positive and finite")
 
 
 def sweep_rows(spec: SweepSpec) -> list[dict]:
@@ -58,10 +57,9 @@ def sweep_rows(spec: SweepSpec) -> list[dict]:
         source = SourceParams(spec.sigma2, rho)
         thr = snr_threshold(source)
         for snr in spec.snr_grid:
-            p = snr * spec.n0
-            below = below_snr_threshold(source, p, spec.n0)
-            bound = minimax_lower_bound(source, p, spec.n0)
-            d_u = uncoded_distortion(source, p, spec.n0)
+            below = below_snr_threshold(source, snr, 1.0)
+            bound = minimax_lower_bound(source, snr, 1.0)
+            d_u = uncoded_distortion(source, snr, 1.0)
             rows.append({
                 "rho": rho,
                 "snr": snr,

@@ -479,7 +479,7 @@ def determinism(scale: Scale) -> CriterionResult:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "sweep.csv")
         sweep_args = [
-            "sweep", "--sigma2", "1", "--n", "1",
+            "sweep", "--sigma2", "1",
             "--rho-grid", "0.2,0.5,0.8", "--snr-grid", "0.1,0.5,2.0",
             "--out", path, "--json",
         ]

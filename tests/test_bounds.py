@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from helpers import log_uniform
 
 from gmacfb import (
     BoundResult,
@@ -20,6 +21,7 @@ from gmacfb import (
     single_user_curve,
     snr_threshold,
     sum_rate_curve,
+    symmetric_joint_rd_inverse,
     uncoded_distortion,
 )
 from gmacfb import verification
@@ -73,6 +75,16 @@ class TestCheckFeasibility:
         # would overflow or underflow.
         rng = np.random.default_rng(424242)
         for _ in range(2000):
+            source, ch, pair = verification._oracle_instance(rng)
+            scaled = ChannelParams(ch.p1 * factor, ch.p2 * factor, ch.n0 * factor)
+            assert check_feasibility(source, scaled, pair) == check_feasibility(source, ch, pair)
+
+    def test_invariant_under_scaling_to_tiny_powers(self):
+        # 2^-1018 keeps p1, p2 and n0 normal while (4^r - 1) n0 would go
+        # subnormal; only the ratios p_i / n0 enter, so nothing changes.
+        rng = np.random.default_rng(424242)
+        factor = 2.0 ** -1018
+        for _ in range(20_000):
             source, ch, pair = verification._oracle_instance(rng)
             scaled = ChannelParams(ch.p1 * factor, ch.p2 * factor, ch.n0 * factor)
             assert check_feasibility(source, scaled, pair) == check_feasibility(source, ch, pair)
@@ -373,17 +385,13 @@ def _reference_minimax(source: SourceParams, p: float, n0: float) -> BoundResult
     return BoundResult(max(lo_value, hi_value), best_rt, "crossing")
 
 
-def _log_uniform(lo_exp: float, hi_exp: float):
-    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
-
-
 # rho in [0, 1), sigma2 in 1e-300..1e300, n0 in 1e-100..1e100 and
 # snr = p / n0 in 1e-8..1e14, the last three log-uniform.
 DOMAIN = dict(
     rho=st.floats(0.0, 1.0, exclude_max=True),
-    sigma2=_log_uniform(-300.0, 300.0),
-    n0=_log_uniform(-100.0, 100.0),
-    snr=_log_uniform(-8.0, 14.0),
+    sigma2=log_uniform(-300.0, 300.0),
+    n0=log_uniform(-100.0, 100.0),
+    snr=log_uniform(-8.0, 14.0),
 )
 
 
@@ -419,6 +427,18 @@ class TestMinimaxDomain:
         bound = minimax_lower_bound(src, p, n0).lower_bound
         assert sum_rate_curve(src, p, n0, 1.0) * (1.0 - 1e-12) <= bound
         assert bound <= uncoded_distortion(src, p, n0) * (1.0 + 1e-12)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(**DOMAIN)
+    def test_sum_rate_curve_exact_at_rho_star(self, rho, sigma2, n0, snr):
+        # The curve picks its branch by the SNR, not by the rate it
+        # inverts; at the minimax's operating point that is the same.
+        src, p = SourceParams(sigma2, rho), snr * n0
+        rho_star = minimax_lower_bound(src, p, n0).rho_star
+        cap = 0.5 * math.log2(1.0 + 2.0 * (p / n0) * (1.0 + rho_star))
+        exact = symmetric_joint_rd_inverse(src, cap)
+        assert sum_rate_curve(src, p, n0, rho_star) == pytest.approx(exact, rel=1e-12)
 
 
 class TestFeasibilityDomain:

@@ -10,17 +10,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from helpers import log_uniform, run_inprocess
 
 from gmacfb import cli
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
-
-
-def run_inprocess(args):
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = cli.main(args)
-    return code, buf.getvalue()
 
 
 def run_subprocess(args):
@@ -163,6 +157,14 @@ class TestBound:
         args = ["bound", "--sigma2", "1", "--rho", "0.5", "--d1", "0.6", "--d2", "0.5"]
         assert (
             run_inprocess(args + ["--n", "1e308", "--p1", "1e308", "--p2", "1e308"])
+            == run_inprocess(args + ["--n", "1", "--p1", "1", "--p2", "1"])
+        )
+
+    def test_general_case_tiny_powers_match_unit_powers(self):
+        # (4^r - 1) n0 is subnormal at n0 = 1e-308; p_i / n0 is exactly 1.
+        args = ["bound", "--sigma2", "1", "--rho", "0.5", "--d1", "0.6", "--d2", "0.5", "--json"]
+        assert (
+            run_inprocess(args + ["--n", "1e-308", "--p1", "1e-308", "--p2", "1e-308"])
             == run_inprocess(args + ["--n", "1", "--p1", "1", "--p2", "1"])
         )
 
@@ -336,7 +338,7 @@ class TestSweepCommand:
     def test_writes_csv_and_reports(self, tmp_path):
         out_path = tmp_path / "sweep.csv"
         code, out = run_inprocess([
-            "sweep", "--sigma2", "1", "--n", "1",
+            "sweep", "--sigma2", "1",
             "--rho-grid", "0.5", "--snr-grid", "0.6666666666666666",
             "--out", str(out_path),
         ])
@@ -385,6 +387,17 @@ class TestSweepCommand:
             for col in (4, 6, 7):  # lower_bound, d_uncoded, dstar_or_blank
                 if unit[col]:
                     assert float(big[col]) == pytest.approx(1.7e308 * float(unit[col]), rel=1e-12)
+
+    def test_noise_flag_removed(self, tmp_path, capsys):
+        # The rows depend on snr alone, so there is no --n to set.
+        with pytest.raises(SystemExit) as exc:
+            cli.main([
+                "sweep", "--n", "1", "--rho-grid", "0.5", "--snr-grid", "1.0",
+                "--out", str(tmp_path / "x.csv"),
+            ])
+        assert exc.value.code == 2
+        assert "--n" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_overflowing_snr_is_usage_error(self, tmp_path):
         assert_usage_error(run_subprocess([
@@ -460,6 +473,62 @@ class TestNoTraceback:
             "--symbols", symbols, "--seed", seed,
         ])
         assert code in (0, 1, 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sigma2=ANY, rho=ANY, d1=ANY, d2=ANY)
+    def test_rd(self, sigma2, rho, d1, d2):
+        code = self.exit_code(["rd", "--sigma2", sigma2, "--rho", rho, "--d1", d1, "--d2", d2])
+        assert code in (0, 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sigma2=ANY, rho=ANY, n=ANY, p=ANY)
+    def test_bound_symmetric_case(self, sigma2, rho, n, p):
+        code = self.exit_code(["bound", "--sigma2", sigma2, "--rho", rho, "--n", n, "--p", p])
+        assert code in (0, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sigma2=ANY, rhos=st.lists(ANY, min_size=1, max_size=3), snrs=st.lists(ANY, min_size=1, max_size=3))
+    def test_sweep(self, sigma2, rhos, snrs):
+        code = self.exit_code([
+            "sweep", "--sigma2", sigma2, "--rho-grid", ",".join(map(repr, rhos)),
+            "--snr-grid", ",".join(map(repr, snrs)), "--out", os.devnull,
+        ])
+        assert code in (0, 2)
+
+
+class TestScaling:
+    """Outputs depend on d / sigma2 and p / n0 alone: scaling both by a
+    power of two, within ranges where every input stays normal, changes
+    no byte."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rho=st.floats(0.0, 1.0), sigma2=log_uniform(-100.0, 100.0),
+        u1=log_uniform(-100.0, 1.0), u2=log_uniform(-100.0, 1.0), j=st.integers(-300, 300),
+    )
+    def test_rd_under_scaling_of_variance_and_targets(self, rho, sigma2, u1, u2, j):
+        values = (sigma2, sigma2 * u1, sigma2 * u2)
+        scaled = tuple(math.ldexp(v, j) for v in values)
+
+        def rd(s2, d1, d2):
+            return run_inprocess(["rd", "--sigma2", repr(s2), "--rho", repr(rho),
+                                  "--d1", repr(d1), "--d2", repr(d2), "--json"])
+
+        assert rd(*scaled) == rd(*values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rho=st.floats(0.0, 1.0, exclude_max=True), sigma2=log_uniform(-300.0, 300.0),
+        n0=log_uniform(-100.0, 100.0), snr=log_uniform(-8.0, 14.0), k=st.integers(-250, 250),
+    )
+    def test_bound_symmetric_case_under_scaling_of_power_and_noise(self, rho, sigma2, n0, snr, k):
+        p = snr * n0
+
+        def bound(p, n0):
+            return run_inprocess(["bound", "--sigma2", repr(sigma2), "--rho", repr(rho),
+                                  "--n", repr(n0), "--p", repr(p), "--json"])
+
+        assert bound(math.ldexp(p, 2 * k), math.ldexp(n0, 2 * k)) == bound(p, n0)
 
 
 def test_unknown_command_usage_error():

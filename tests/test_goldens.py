@@ -8,29 +8,19 @@ output.
 """
 
 import hashlib
-import io
-from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
-
-from gmacfb import cli
+from helpers import run_inprocess
 
 DATA = Path(__file__).parent / "data"
-
-
-def run_inprocess(args):
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = cli.main(args)
-    return code, buf.getvalue()
 
 
 def sweep_csv(tmp_path, rho_grid, snr_grid):
     path = tmp_path / "sweep.csv"
     code, _ = run_inprocess([
-        "sweep", "--sigma2", "1", "--n", "1", "--rho-grid", rho_grid, "--snr-grid", snr_grid,
+        "sweep", "--sigma2", "1", "--rho-grid", rho_grid, "--snr-grid", snr_grid,
         "--out", str(path),
     ])
     assert code == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from helpers import log_uniform
 
 from gmacfb import (
     DistortionPair,
@@ -242,17 +243,13 @@ class TestSymmetricInverse:
             symmetric_joint_rd_inverse(HALF, -0.1)
 
 
-def _log_uniform(lo_exp: float, hi_exp: float):
-    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
-
-
 # rho in [0, 1], sigma2 log-uniform in 1e-300..1e300 and each d / sigma2
 # log-uniform in 1e-100..10, so every region and the clamp at sigma2 occur.
 RD_DOMAIN = dict(
     rho=st.floats(0.0, 1.0),
-    sigma2=_log_uniform(-300.0, 300.0),
-    u1=_log_uniform(-100.0, 1.0),
-    u2=_log_uniform(-100.0, 1.0),
+    sigma2=log_uniform(-300.0, 300.0),
+    u1=log_uniform(-100.0, 1.0),
+    u2=log_uniform(-100.0, 1.0),
 )
 
 
@@ -282,7 +279,7 @@ class TestJointRdDomain:
         assert joint_rd(src, DistortionPair(d1, d2)) == joint_rd(src, DistortionPair(d2, d1))
 
     @settings(max_examples=500, deadline=None)
-    @given(**RD_DOMAIN, u3=_log_uniform(-100.0, 1.0))
+    @given(**RD_DOMAIN, u3=log_uniform(-100.0, 1.0))
     def test_nonincreasing_in_each_distortion(self, rho, sigma2, u1, u2, u3):
         src = SourceParams(sigma2, rho)
         lo, hi, other = _pair(sigma2, min(u1, u3), max(u1, u3), u2)

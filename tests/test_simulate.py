@@ -59,11 +59,11 @@ class TestGenSource:
         assert abs(np.mean(s2 * s2) - 1.0) < radius
 
 
-class TestUncodedEncoder:
-    """The uncoded encoder sends s_i at amplitude sqrt(p / n0) against
+class TestTransmitPower:
+    """The uncoded scheme sends s_i at amplitude sqrt(p / n0) against
     unit noise, which is power p against noise n0."""
 
-    def test_gain_for_power(self):
+    def test_measured_power_matches_p(self):
         rep = simulate_uncoded(HALF, 4.0, 2.0, SimConfig(200_000, seed=19))
         for p_hat, se in ((rep.p1_hat, rep.stderr_p1), (rep.p2_hat, rep.stderr_p2)):
             assert abs(p_hat - 4.0) <= 4.0 * se
@@ -148,7 +148,7 @@ class TestMmseDecoder:
         np.testing.assert_array_equal(rows[0], (s1 - est) ** 2)
         np.testing.assert_array_equal(rows[1], (s2 - est) ** 2)
 
-    def test_gain_finite_at_huge_variance(self):
+    def test_distortions_scale_at_huge_variance(self):
         # sigma2^2 overflows a double here; the decoder never sees sigma2,
         # and the distortions are the unit run's times sigma2.
         cfg = SimConfig(1000, seed=2)
@@ -163,7 +163,7 @@ class TestMmseDecoder:
         snr = sys.float_info.max / 4.0
         assert decode_gain(0.5, snr) == pytest.approx(0.5 / math.sqrt(snr), rel=1e-12)
 
-    def test_gain_at_tiny_power_and_huge_noise(self):
+    def test_gain_at_subnormal_snr(self):
         # p / n0 = 1e-310 is subnormal; the gain, about 1.5 sqrt(snr),
         # is not.
         assert decode_gain(0.5, 1e-310) == pytest.approx(1.5e-155, rel=1e-6)

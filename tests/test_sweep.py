@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -18,7 +19,7 @@ from gmacfb import (
 
 
 def test_header_and_shape(tmp_path):
-    spec = SweepSpec(rho_grid=(0.2, 0.5), snr_grid=(0.1, 1.0), sigma2=1.0, n0=1.0)
+    spec = SweepSpec(rho_grid=(0.2, 0.5), snr_grid=(0.1, 1.0), sigma2=1.0)
     path = tmp_path / "out.csv"
     rows = write_sweep_csv(spec, path)
     text = path.read_text(encoding="utf-8")
@@ -52,15 +53,18 @@ def test_rho_zero_rows_have_blank_dstar():
 
 
 def test_rows_match_library_calls():
-    spec = SweepSpec(rho_grid=(0.3,), snr_grid=(0.2,), sigma2=2.0, n0=0.5)
+    # A row holds the library values at any (p, n0) with p / n0 = snr;
+    # 0.2 * 0.5 / 0.5 == 0.2 exactly.
+    spec = SweepSpec(rho_grid=(0.3,), snr_grid=(0.2,), sigma2=2.0)
     row = sweep_rows(spec)[0]
     src = SourceParams(2.0, 0.3)
-    p = 0.2 * 0.5
-    res = minimax_lower_bound(src, p, 0.5)
-    assert row["lower_bound"] == res.lower_bound
-    assert row["rho_star"] == res.rho_star
-    assert row["d_uncoded"] == uncoded_distortion(src, p, 0.5)
-    assert row["dstar_or_blank"] == dstar_below_threshold(src, p, 0.5)
+    for n0 in (1.0, 0.5):
+        p = 0.2 * n0
+        res = minimax_lower_bound(src, p, n0)
+        assert row["lower_bound"] == res.lower_bound
+        assert row["rho_star"] == res.rho_star
+        assert row["d_uncoded"] == uncoded_distortion(src, p, n0)
+        assert row["dstar_or_blank"] == dstar_below_threshold(src, p, n0)
 
 
 def test_csv_cells_full_precision():
@@ -101,6 +105,12 @@ def test_spec_validation(kwargs):
         SweepSpec(**kwargs)
 
 
+def test_spec_is_the_grids_and_the_variance():
+    # The rows depend on the powers through snr = p / n0 alone, so the
+    # spec carries no noise variance.
+    assert [f.name for f in dataclasses.fields(SweepSpec)] == ["rho_grid", "snr_grid", "sigma2"]
+
+
 def test_columns_constant_matches_contract():
     assert COLUMNS == (
         "rho", "snr", "threshold_snr", "below_threshold",
@@ -113,7 +123,7 @@ def test_one_minimax_call_per_grid_point(monkeypatch):
     # through gmacfb.sweep; the sweep must keep making one per point.
     import gmacfb.sweep
 
-    spec = SweepSpec(rho_grid=(0.0, 0.4, 0.8), snr_grid=(0.01, 0.3, 2.0, 50.0), sigma2=2.5, n0=0.5)
+    spec = SweepSpec(rho_grid=(0.0, 0.4, 0.8), snr_grid=(0.01, 0.3, 2.0, 50.0), sigma2=2.5)
     expected = format_csv(sweep_rows(spec))
     calls = []
 
@@ -124,3 +134,4 @@ def test_one_minimax_call_per_grid_point(monkeypatch):
     monkeypatch.setattr(gmacfb.sweep, "minimax_lower_bound", counting)
     assert format_csv(sweep_rows(spec)) == expected
     assert len(calls) == 12
+    assert [args[1:] for args in calls] == [(snr, 1.0) for _ in spec.rho_grid for snr in spec.snr_grid]
