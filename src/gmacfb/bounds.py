@@ -106,6 +106,13 @@ def _pow4m1(r: float) -> float:
         return math.inf
 
 
+def _log2_ratio(p: float, n0: float) -> float:
+    """log2(p / n0), finite for any positive finite p and n0, and unchanged
+    when both are scaled by one power of two, subnormals included."""
+    (mp, ep), (mn, en) = math.frexp(p), math.frexp(n0)
+    return math.log2(mp / mn) + (ep - en)
+
+
 def check_feasibility(source: SourceParams, channel: ChannelParams, d: DistortionPair) -> FeasibilityResult:
     """Test whether any scheme could reach the distortion pair d.
 
@@ -126,18 +133,19 @@ def check_feasibility(source: SourceParams, channel: ChannelParams, d: Distortio
     )
 
     # Only the ratios p_i / n0 are formed, so scaling (p1, p2, n0) by a power
-    # of two that keeps them normal changes nothing. An overflowed 4^r reads
-    # as a rate that no finite ratio reaches, so no 0 * inf or inf / inf is
-    # evaluated below.
+    # of two that keeps them normal changes nothing. Where 4^r - 1 overflows
+    # it is 4^r to double precision, and its condition is compared on
+    # log2(p_i / n0) instead, which is finite for any inputs.
     q_joint, q1, q2 = (_pow4m1(r) for r in (r_joint, r1, r2))
-    if math.inf in (q_joint, q1, q2):
-        return FeasibilityResult(False, None, None)
 
     # Per-user conditions: rt^2 <= 1 - (4^r_i - 1) n0 / p_i; a negative
     # radicand rules out every rho_tilde, and a zero rate bounds nothing.
     hi = 1.0
-    for q_i, p_i in ((q1, channel.p1), (q2, channel.p2)):
-        radicand = 1.0 - q_i * (channel.n0 / p_i) if q_i > 0.0 else 1.0
+    for q_i, r_i, p_i in ((q1, r1, channel.p1), (q2, r2, channel.p2)):
+        if q_i == math.inf:
+            radicand = -_pow4m1(r_i - 0.5 * _log2_ratio(p_i, channel.n0))
+        else:
+            radicand = 1.0 - q_i * (channel.n0 / p_i) if q_i > 0.0 else 1.0
         if radicand < 0.0:
             return FeasibilityResult(False, None, None)
         hi = min(hi, math.sqrt(radicand))
@@ -146,6 +154,13 @@ def check_feasibility(source: SourceParams, channel: ChannelParams, d: Distortio
     # s_i = p_i / n0, divided by the roots one at a time. Both s_i are finite
     # where the excess is positive; one that underflowed to 0 correlates nothing.
     s1, s2 = channel.p1 / channel.n0, channel.p2 / channel.n0
+    if q_joint == math.inf:
+        # Divide both sides by 2^m, m the larger log2(s_i), which leaves lo
+        # as it is and both s_i at most 1.
+        log_s = _log2_ratio(channel.p1, channel.n0), _log2_ratio(channel.p2, channel.n0)
+        m = max(log_s)
+        q_joint = _pow4m1(r_joint - 0.5 * m) + 1.0
+        s1, s2 = (2.0 ** (x - m) for x in log_s)
     lo = max(q_joint - s1 - s2, 0.0)
     if lo > 0.0:
         lo = lo / (2.0 * math.sqrt(s1)) / math.sqrt(s2) if min(s1, s2) > 0.0 else math.inf
@@ -157,17 +172,19 @@ def check_feasibility(source: SourceParams, channel: ChannelParams, d: Distortio
     return FeasibilityResult(True, (lo, hi), 0.5 * (lo + hi))
 
 
-def _sum_rate_unit(rho: float, snr: float, below: bool, rt: float) -> float:
-    """Unit-variance sum-rate curve; below selects the low-rate branch.
-    The one copy of the formula: callers validate and scale by sigma2."""
+def _sum_rate_unit(rho: float, snr: float, below: bool, rt, sqrt=math.sqrt):
+    """Unit-variance sum-rate curve at rt, a float or an ndarray; below
+    selects the low-rate branch, and an array rt needs sqrt=np.sqrt. The
+    one copy of the formula: callers validate and scale by sigma2."""
     den = 1.0 + 2.0 * snr * (1.0 + rt)
     if below:
         return 0.5 * ((1.0 + rho) / den + (1.0 - rho))
-    return math.sqrt((1.0 - rho * rho) / den)
+    return sqrt((1.0 - rho * rho) / den)
 
 
-def _single_user_unit(rho: float, snr: float, rt: float) -> float:
-    """Unit-variance single-user curve; the one copy of the formula."""
+def _single_user_unit(rho: float, snr: float, rt):
+    """Unit-variance single-user curve at rt, a float or an ndarray; the
+    one copy of the formula."""
     return (1.0 - rho ** 2) / (1.0 + snr * (1.0 - rt * rt))
 
 
@@ -185,9 +202,8 @@ def sum_rate_curve(source: SourceParams, p: float, n0: float, rho_tilde: float) 
     """
     rt = _check_rho_tilde(rho_tilde)
     snr = _check_power_noise(p, n0)
-    rho = source.rho
-    below = rho >= 1.0 or snr <= snr_threshold(source)
-    return source.sigma2 * _sum_rate_unit(rho, snr, below, rt)
+    below = snr <= snr_threshold(source)
+    return source.sigma2 * _sum_rate_unit(source.rho, snr, below, rt)
 
 
 def single_user_curve(source: SourceParams, p: float, n0: float, rho_tilde: float) -> float:
@@ -242,7 +258,7 @@ def minimax_lower_bound(source: SourceParams, p: float, n0: float) -> BoundResul
         return BoundResult(hi_value, 1.0, "endpoint")
 
     s2, rho = source.sigma2, source.rho
-    below = rho >= 1.0 or snr <= snr_threshold(source)
+    below = snr <= snr_threshold(source)
     # The crossing stays inside [lo, hi], so the minimax is at least both
     # lo_value (increasing curve at lo) and hi_value (decreasing one at hi).
     lo, hi = 0.0, 1.0
@@ -268,11 +284,9 @@ def minimax_lower_bound(source: SourceParams, p: float, n0: float) -> BoundResul
 
 def below_snr_threshold(source: SourceParams, p: float, n0: float) -> bool:
     """True when p/n0 is at or below the uncoded-optimality threshold
-    (with a 1e-12 relative slack so recomputed boundary points count)."""
-    _check_power_noise(p, n0)
-    if source.rho >= 1.0:
-        return True
-    return p / n0 <= snr_threshold(source) * (1.0 + _THRESHOLD_RTOL)
+    (with a 1e-12 relative slack so recomputed boundary points count);
+    always at rho = 1, where the threshold is infinite."""
+    return _check_power_noise(p, n0) <= snr_threshold(source) * (1.0 + _THRESHOLD_RTOL)
 
 
 def uncoded_distortion(source: SourceParams, p: float, n0: float) -> float:

@@ -86,9 +86,9 @@ class DistortionPair:
 def snr_threshold(source: SourceParams) -> float:
     """SNR below which uncoded transmission is optimal: rho / (1 - rho^2).
 
-    Strictly increasing in rho on [0, 1). For rho = 1 the threshold would be
-    infinite, which is rejected as a degenerate fully-correlated source.
+    Strictly increasing in rho on [0, 1), and math.inf at rho = 1: for a
+    fully correlated source uncoded transmission is optimal at every SNR.
     """
     if source.rho >= 1.0:
-        raise ParameterError("threshold infinite: source components fully correlated")
+        return math.inf
     return source.rho / (1.0 - source.rho ** 2)

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (
+    _single_user_unit,
+    _sum_rate_unit,
     check_feasibility,
     dstar_below_threshold,
     endpoint_snr_threshold,
@@ -78,18 +80,6 @@ SCALES = {
         boundary_points=25,
     ),
 }
-
-
-def _curves_on_grid(source: SourceParams, p: float, n0: float, grid: np.ndarray) -> np.ndarray:
-    """max(decreasing, increasing) bound curve evaluated on a rho_tilde grid."""
-    s2, rho = source.sigma2, source.rho
-    den = n0 + 2.0 * p * (1.0 + grid)
-    if rho >= 1.0 or p / n0 <= rho / (1.0 - rho * rho):
-        dec = 0.5 * (n0 * s2 * (1.0 + rho) / den + s2 * (1.0 - rho))
-    else:
-        dec = s2 * np.sqrt(n0 * (1.0 - rho * rho) / den)
-    inc = s2 * n0 * (1.0 - rho * rho) / (n0 + p * (1.0 - grid * grid))
-    return np.maximum(dec, inc)
 
 
 def tightness_below_threshold(scale: Scale) -> CriterionResult:
@@ -187,7 +177,8 @@ def endpoint_threshold(scale: Scale) -> CriterionResult:
                 sum_rate_curve(source, p, 1.0, res.rho_star)
                 - single_user_curve(source, p, 1.0, res.rho_star)
             )
-            values = _curves_on_grid(source, p, 1.0, grid)
+            below = p <= snr_threshold(source)
+            values = np.maximum(_sum_rate_unit(rho, p, below, grid, sqrt=np.sqrt), _single_user_unit(rho, p, grid))
             idx = int(np.argmin(values))
             if res.rho_star >= 1.0:
                 problems.append(f"rho={rho} snr={p:.4g}: expected interior crossing")

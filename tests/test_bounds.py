@@ -25,6 +25,7 @@ from gmacfb import (
     uncoded_distortion,
 )
 from gmacfb import verification
+from gmacfb.bounds import _single_user_unit, _sum_rate_unit
 from gmacfb.model import _check_power_noise
 
 HALF = SourceParams(1.0, 0.5)
@@ -55,8 +56,8 @@ class TestCheckFeasibility:
         assert res.rho_interval is None and res.witness is None
 
     def test_overflowing_rate_is_infeasible(self):
-        # 4^r overflows a float at these targets; that reads as infinite
-        # required power, not an error.
+        # 4^r overflows a float at these targets; compared in the log
+        # domain, the rate is far above every cap, and no error is raised.
         ch = ChannelParams(1.0, 1.0, 1.0)
         res = check_feasibility(HALF, ch, DistortionPair(1e-300, 1e-300))
         assert not res.feasible
@@ -439,6 +440,28 @@ class TestMinimaxDomain:
         cap = 0.5 * math.log2(1.0 + 2.0 * (p / n0) * (1.0 + rho_star))
         exact = symmetric_joint_rd_inverse(src, cap)
         assert sum_rate_curve(src, p, n0, rho_star) == pytest.approx(exact, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rho=DOMAIN["rho"], snr=DOMAIN["snr"], rts=st.lists(st.floats(0.0, 1.0), max_size=20))
+    def test_kernels_on_arrays_match_scalar_kernels(self, rho, snr, rts):
+        rt = np.array([0.0, 1.0, *rts])
+        for below in (False, True):
+            curve = _sum_rate_unit(rho, snr, below, rt, sqrt=np.sqrt)
+            assert curve.tolist() == [_sum_rate_unit(rho, snr, below, t) for t in rt.tolist()]
+        assert _single_user_unit(rho, snr, rt).tolist() == [_single_user_unit(rho, snr, t) for t in rt.tolist()]
+
+    @settings(max_examples=300, deadline=None)
+    @given(sigma2=DOMAIN["sigma2"], n0=DOMAIN["n0"], snr=DOMAIN["snr"], rt=st.floats(0.0, 1.0))
+    def test_closed_forms_at_full_source_correlation(self, sigma2, n0, snr, rt):
+        # snr_threshold is infinite at rho = 1, so every SNR is below it and
+        # the minimax sits at the endpoint: 1 / (1 + 4 snr).
+        src, p = SourceParams(sigma2, 1.0), snr * n0
+        snr = p / n0
+        endpoint = sigma2 * (1.0 / (1.0 + 4.0 * snr))
+        assert sum_rate_curve(src, p, n0, rt) == sigma2 * (1.0 / (1.0 + 2.0 * snr * (1.0 + rt)))
+        assert minimax_lower_bound(src, p, n0) == BoundResult(endpoint, 1.0, "endpoint")
+        assert below_snr_threshold(src, p, n0)
+        assert dstar_below_threshold(src, p, n0) == endpoint
 
 
 class TestFeasibilityDomain:

@@ -131,6 +131,24 @@ class TestBound:
         assert code == 0
         assert json.loads(out)["rho_interval"] == [0.0, pytest.approx(1.0, abs=1e-12)]
 
+    @pytest.mark.parametrize("rho, n, p, d, lo", [
+        # 4^r - 1 overflows for the joint rate (528.7 bits), and p / n0 does
+        # too; the sum cap is about 997 bits.
+        ("0.99", "1e-300", "1e300", "1e-160", 0.0),
+        # The joint rate, 512.106 bits, overflows 4^r - 1 but stays under the
+        # sum cap of 512.460 bits at rho_tilde = 0; p / n0 is finite.
+        ("0.5", "1", "1.7e308", "6e-155", 0.0),
+        # Here the sum cap binds: lo from a 60-digit decimal evaluation.
+        ("0.5", "1", "1.7e308", "4e-155", 0.378676470588235),
+    ])
+    def test_overflowing_rate_is_compared_in_the_log_domain(self, rho, n, p, d, lo):
+        code, out = run_inprocess([
+            "bound", "--sigma2", "1", "--rho", rho, "--n", n,
+            "--p1", p, "--p2", p, "--d1", d, "--d2", d, "--json",
+        ])
+        assert code == 0
+        assert json.loads(out)["rho_interval"] == [pytest.approx(lo, abs=1e-9), 1.0]
+
     def test_huge_variance_feasibility_is_finite(self):
         args = ["bound", "--rho", "0.5", "--n", "1", "--p1", "1", "--p2", "1", "--json"]
         code, out = run_inprocess(args + ["--sigma2", "1e200", "--d1", "5e199", "--d2", "5e199"])
@@ -316,7 +334,7 @@ class TestSimulate:
             "--symbols", "1000000000000000000",
         ]))
 
-    def test_chunked_run_accepted(self):
+    def test_run_over_several_fixed_batches(self):
         # 200,000 symbols stream through four fixed batches.
         code, out = run_inprocess([
             "simulate", "--sigma2", "1", "--rho", "0.5", "--p", "1", "--n", "1",

@@ -62,9 +62,9 @@ class TestSnrThreshold:
     def test_independent_components_collapse(self):
         assert snr_threshold(SourceParams(1.0, 0.0)) == 0.0
 
-    def test_fully_correlated_rejected(self):
-        with pytest.raises(ParameterError, match="threshold infinite"):
-            snr_threshold(SourceParams(1.0, 1.0))
+    def test_fully_correlated_is_infinite(self):
+        # Uncoded transmission is optimal at every SNR for identical components.
+        assert snr_threshold(SourceParams(1.0, 1.0)) == math.inf
 
     def test_strictly_increasing_in_rho(self):
         values = [snr_threshold(SourceParams(1.0, 0.01 * k)) for k in range(100)]
