@@ -35,6 +35,12 @@ def _check_power_noise(p: float, n0: float) -> float:
     return snr
 
 
+def _one_minus_rho2(rho: float) -> float:
+    """1 - rho^2 as (1 - rho)(1 + rho): accurate to a few ulps as rho -> 1,
+    where 1 - rho * rho keeps no correct digit."""
+    return (1.0 - rho) * (1.0 + rho)
+
+
 @dataclass(frozen=True)
 class SourceParams:
     """Memoryless bivariate Gaussian source with common variance.

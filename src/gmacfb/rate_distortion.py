@@ -28,7 +28,7 @@ import enum
 import math
 import sys
 
-from .model import DistortionPair, ParameterError, SourceParams
+from .model import DistortionPair, ParameterError, SourceParams, _one_minus_rho2
 
 
 class Region(enum.Enum):
@@ -43,12 +43,6 @@ def _unit_targets(source: SourceParams, d: DistortionPair) -> tuple[float, float
     """(d1, d2) / sigma2, clamped at 1. A ratio that underflows to 0 stands
     for a rate beyond any float."""
     return min(d.d1 / source.sigma2, 1.0), min(d.d2 / source.sigma2, 1.0)
-
-
-def _one_minus_rho2(rho: float) -> float:
-    """1 - rho^2 as (1 - rho)(1 + rho): accurate to a few ulps as rho -> 1,
-    where 1 - rho * rho keeps no correct digit."""
-    return (1.0 - rho) * (1.0 + rho)
 
 
 def classify_region(source: SourceParams, d: DistortionPair) -> Region:
@@ -145,5 +139,5 @@ def symmetric_joint_rd_inverse(source: SourceParams, rate: float) -> float:
     s2 = source.sigma2
     rho = source.rho
     if rate >= diagonal_branch_rate(source):
-        return s2 * math.sqrt(1.0 - rho * rho) * 2.0 ** (-rate)
+        return s2 * math.sqrt(_one_minus_rho2(rho)) * 2.0 ** (-rate)
     return 0.5 * s2 * ((1.0 + rho) * 2.0 ** (-2.0 * rate) + (1.0 - rho))

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ParameterError, SourceParams, _check_power_noise
+from .model import ParameterError, SourceParams, _check_power_noise, _one_minus_rho2
 
 DEFAULT_SEED = 123456789
 
@@ -113,7 +113,7 @@ def gen_source(rho: float, n: int, rng: np.random.Generator) -> tuple[np.ndarray
     s2 = rho g1 + sqrt(1 - rho^2) g2 for independent normals."""
     g = rng.standard_normal((2, n))
     # In place: g[1] becomes rho g1 + sqrt(1 - rho^2) g2.
-    g[1] *= math.sqrt(1.0 - rho ** 2)
+    g[1] *= math.sqrt(_one_minus_rho2(rho))
     g[1] += rho * g[0]
     return g[0], g[1]
 

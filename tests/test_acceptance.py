@@ -18,12 +18,13 @@ endpoint-threshold criteria, which pass.
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gmacfb import DistortionPair, SourceParams, conditional_rd, joint_rd, simulate, verification
-from gmacfb.verification import SCALES, CriterionResult, CRITERIA, _rate_scanner, run_criteria
+from gmacfb.verification import SCALES, CriterionResult, CRITERIA, run_criteria
 
 FULL = SCALES["full"]
 
@@ -75,31 +76,39 @@ def test_criterion_5_feasibility_oracle():
 
 
 def _check_rate_scan_against_written_conditions():
-    # The blocked scan must give the mask of the three rate conditions as
-    # written, bit for bit, over the whole grid. Instances are drawn as the
-    # oracle draws them; this seed gives empty, full and partial masks.
+    # The span walked in from both ends must be the first and last index of
+    # the mask of the three rate conditions as written over the whole grid.
+    # Instances are drawn as the oracle draws them; this seed gives empty,
+    # full and partial masks. The last instance is feasible on about
+    # [0.5, 0.51] only, inside one block at either block size, so both
+    # walks stop at the same block.
     grid = np.linspace(0.0, 1.0, 100_001)
-    scan = _rate_scanner(grid)()
-    blocks = range(0, len(grid), verification._SCAN_BLOCK)
     rng = np.random.default_rng(20)
+    instances = []
     for _ in range(20):
         s2 = rng.uniform(0.5, 2.0)
         source = SourceParams(s2, rng.uniform(0.0, 0.95))
         p1, p2 = rng.uniform(0.05, 4.0, size=2)
         n0 = rng.uniform(0.25, 2.0)
         d1, d2 = rng.uniform(0.05, 1.15, size=2) * s2
-        rates = (p1, p2, n0, joint_rd(source, DistortionPair(d1, d2)), conditional_rd(source, d1), conditional_rd(source, d2))
-        _, _, _, r_joint, r1, r2 = rates
+        instances.append((p1, p2, n0, joint_rd(source, DistortionPair(d1, d2)), conditional_rd(source, d1), conditional_rd(source, d2)))
+    cap_at_051 = 0.5 * math.log2(2.0 - 0.51 * 0.51)
+    instances.append((1.0, 1.0, 1.0, 1.0, cap_at_051, cap_at_051))
+    kinds = set()
+    for rates in instances:
+        p1, p2, n0, r_joint, r1, r2 = rates
         sum_cap = 0.5 * np.log2(1.0 + (p1 + p2 + 2.0 * grid * math.sqrt(p1 * p2)) / n0)
         priv = 1.0 - grid * grid
         cap1 = 0.5 * np.log2(1.0 + p1 * priv / n0)
         cap2 = 0.5 * np.log2(1.0 + p2 * priv / n0)
         written = (r_joint <= sum_cap) & (r1 <= cap1) & (r2 <= cap2)
-        # Each mask lives until the stream's next call, so copy it.
-        assert np.array_equal(np.concatenate([scan(start, *rates).copy() for start in blocks]), written)
         hits = np.flatnonzero(written)
         span = (hits[0], hits[-1]) if len(hits) else (-1, -1)
-        assert verification._feasible_span(scan, len(grid), rates) == span
+        assert verification._feasible_span(grid, rates) == span
+        kinds.add("empty" if not len(hits) else "full" if len(hits) == len(grid) else "partial")
+    assert kinds == {"empty", "full", "partial"}
+    first, last = span  # of the last instance
+    assert 0 < last - first < 2_000 and first // verification._SCAN_BLOCK == last // verification._SCAN_BLOCK
 
 
 def test_rate_scan_matches_written_conditions():
@@ -143,7 +152,7 @@ def test_feasibility_oracle_helper_stream_error_reaches_caller(monkeypatch):
     helpers = []
     scanned = []
 
-    def fail_on_odd_instances(scan, points, rates):
+    def fail_on_odd_instances(grid, rates):
         if threading.current_thread() is not threading.main_thread():
             helpers.append(threading.current_thread())
             failed.set()
@@ -152,7 +161,7 @@ def test_feasibility_oracle_helper_stream_error_reaches_caller(monkeypatch):
         helpers[0].join(timeout=30)
         assert not helpers[0].is_alive()
         scanned.append(rates)
-        return real(scan, points, rates)
+        return real(grid, rates)
 
     monkeypatch.setattr(simulate, "_available_cpus", lambda: 2)
     monkeypatch.setattr(verification, "_feasible_span", fail_on_odd_instances)
@@ -161,6 +170,19 @@ def test_feasibility_oracle_helper_stream_error_reaches_caller(monkeypatch):
         verification.feasibility_oracle(SCALES["quick"])
     assert threading.active_count() == threads
     assert len(scanned) <= 1
+
+
+def test_feasibility_oracle_memory_is_one_grid_and_block_temporaries():
+    # The 8 MB grid of 10^6 points plus each stream's block temporaries;
+    # one more array the size of the grid would not fit.
+    verification.feasibility_oracle(FULL)
+    tracemalloc.start()
+    try:
+        verification.feasibility_oracle(FULL)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_criterion_6_rd_properties():

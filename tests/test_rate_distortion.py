@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -241,6 +243,30 @@ class TestSymmetricInverse:
     def test_rejects_negative_rate(self):
         with pytest.raises(ParameterError):
             symmetric_joint_rd_inverse(HALF, -0.1)
+
+    def test_both_branches_within_four_ulps_of_decimal_reference(self):
+        # rho = 1 - 10^U(-12, 0) against a 60-digit decimal evaluation of
+        # each branch inverse. Region A keeps its digits only if 1 - rho^2
+        # is formed as (1 - rho)(1 + rho); as 1 - rho * rho it is 1.6e7 ulps
+        # off.
+        rng = np.random.default_rng(31)
+        worst = {"A": 0.0, "B": 0.0}
+        for _ in range(1_000):
+            rho = 1.0 - 10.0 ** rng.uniform(-12.0, 0.0)
+            s2 = 10.0 ** rng.uniform(-3.0, 3.0)
+            source = SourceParams(s2, rho)
+            branch = diagonal_branch_rate(source)
+            for rate in (branch + rng.uniform(0.0, 20.0), branch * rng.uniform(0.0, 1.0)):
+                d = symmetric_joint_rd_inverse(source, rate)
+                with decimal.localcontext(decimal.Context(prec=60)):
+                    r, x = Decimal(rho), Decimal(rate)
+                    if rate >= branch:
+                        region, exact = "A", Decimal(s2) * (1 - r * r).sqrt() * Decimal(2) ** -x
+                    else:
+                        region, exact = "B", Decimal(s2) * ((1 + r) * Decimal(4) ** -x + (1 - r)) / 2
+                    ulps = float(abs(Decimal(d) - exact) / Decimal(math.ulp(float(exact))))
+                worst[region] = max(worst[region], ulps)
+        assert worst["A"] <= 4.0 and worst["B"] <= 4.0, worst
 
 
 # rho in [0, 1], sigma2 log-uniform in 1e-300..1e300 and each d / sigma2

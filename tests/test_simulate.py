@@ -18,6 +18,7 @@ from gmacfb import (
     uncoded_distortion,
 )
 from gmacfb import cli, simulate
+from gmacfb.model import _one_minus_rho2
 from gmacfb.simulate import (
     _BATCH_SYMBOLS,
     _merge,
@@ -35,6 +36,18 @@ class TestGenSource:
         rng = np.random.default_rng(7)
         s1, s2 = gen_source(1.0, 10_000, rng)
         assert np.array_equal(s1, s2)
+
+    def test_coefficient_keeps_its_digits_near_full_correlation(self):
+        # At rho = 1 - 2^-30, 1 - rho^2 = 2^-29 - 2^-60 exactly, and
+        # (1 - rho)(1 + rho) forms it so; 1 - rho ** 2 rounds it to 2^-29.
+        rho = 1.0 - 2.0 ** -30
+        assert _one_minus_rho2(rho) == 2.0 ** -29 - 2.0 ** -60
+        coeff = math.sqrt(_one_minus_rho2(rho))
+        assert coeff != math.sqrt(1.0 - rho ** 2)
+        s1, s2 = gen_source(rho, 1_000, np.random.default_rng(5))
+        g = np.random.default_rng(5).standard_normal((2, 1_000))
+        assert np.array_equal(s1, g[0])
+        assert np.array_equal(s2, coeff * g[1] + rho * g[0])
 
     def test_independent_components_decorrelated(self):
         rng = np.random.default_rng(11)
