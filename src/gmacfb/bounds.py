@@ -172,14 +172,14 @@ def check_feasibility(source: SourceParams, channel: ChannelParams, d: Distortio
     return FeasibilityResult(True, (lo, hi), 0.5 * (lo + hi))
 
 
-def _sum_rate_unit(rho: float, snr: float, below: bool, rt, sqrt=math.sqrt):
-    """Unit-variance sum-rate curve at rt, a float or an ndarray; below
-    selects the low-rate branch, and an array rt needs sqrt=np.sqrt. The
-    one copy of the formula: callers validate and scale by sigma2."""
+def _sum_rate_unit(rho: float, snr: float, below: bool, rt):
+    """Unit-variance sum-rate curve at rt; below selects the low-rate
+    branch, which also takes an ndarray rt. The one copy of the formula:
+    callers validate and scale by sigma2."""
     den = 1.0 + 2.0 * snr * (1.0 + rt)
     if below:
         return 0.5 * ((1.0 + rho) / den + (1.0 - rho))
-    return sqrt((1.0 - rho * rho) / den)
+    return math.sqrt((1.0 - rho * rho) / den)
 
 
 def _single_user_unit(rho: float, snr: float, rt):

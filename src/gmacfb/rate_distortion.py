@@ -18,6 +18,8 @@ in so that the function is total and symmetric under swapping (d1, d2),
 which equality of the component variances forces anyway. Targets above the
 source variance are equivalent to the variance itself (estimating by the
 mean already achieves it), so they are clamped before classification.
+The region inequalities live once, in `_regions`, which takes floats or
+arrays; `classify_region`, `joint_rd` and the verify suite read its masks.
 The rates depend on the targets only through d / sigma2 and are computed
 from it, so no sigma2^2 is ever formed.
 """
@@ -45,24 +47,32 @@ def _unit_targets(source: SourceParams, d: DistortionPair) -> tuple[float, float
     return min(d.d1 / source.sigma2, 1.0), min(d.d2 / source.sigma2, 1.0)
 
 
+def _regions(rho: float, d1, d2):
+    """Masks (in_a, in_c) of regions A and C at unit targets d1, d2 in
+    (0, 1], floats or ndarrays; region B is the rest. C holds only where A
+    fails. The one copy of the region inequalities: callers clamp the
+    targets and read the masks."""
+    cond_var = _one_minus_rho2(rho)
+    # Region A in cross-multiplied form, symmetric and division-free:
+    # d2 <= (1 - rho^2 - d1) / (1 - d1) on d1 <= 1 - rho^2.
+    in_a = (d1 + d2) - d1 * d2 <= cond_var
+    # Region C: max(d1, d2) > 1 - rho^2 + rho^2 min(d1, d2). Rounding is
+    # monotone, so the disjunct with the smaller target on the left holds
+    # only when the other does. in_a ^ True negates a bool and a bool array.
+    in_c = (in_a ^ True) & ((d1 > cond_var + rho * rho * d2) | (d2 > cond_var + rho * rho * d1))
+    return in_a, in_c
+
+
 def classify_region(source: SourceParams, d: DistortionPair) -> Region:
     """Locate (d1, d2) in the region partition.
 
-    Boundary points go to the first matching region in the order A, B, C
-    (A and B are closed where their defining inequalities are non-strict,
-    C is open at its lower boundary). The branch formulas agree on the
+    Boundary points go to the first matching region in the order A, C, B
+    (A is closed where its defining inequality is non-strict, C is open at
+    its lower boundary, B takes the rest). The branch formulas agree on the
     boundaries, so the tie-break never changes a rate value.
     """
-    rho = source.rho
-    cond_var = _one_minus_rho2(rho)
-    d1, d2 = _unit_targets(source, d)
-    # Region A in cross-multiplied form, symmetric and division-free:
-    # d2 <= (1 - rho^2 - d1) / (1 - d1) on d1 <= 1 - rho^2.
-    if (d1 + d2) - d1 * d2 <= cond_var:
-        return Region.A
-    if max(d1, d2) > cond_var + rho * rho * min(d1, d2):
-        return Region.C
-    return Region.B
+    in_a, in_c = _regions(source.rho, *_unit_targets(source, d))
+    return Region.A if in_a else Region.C if in_c else Region.B
 
 
 def joint_rd(source: SourceParams, d: DistortionPair) -> float:
@@ -71,34 +81,33 @@ def joint_rd(source: SourceParams, d: DistortionPair) -> float:
     d1, d2 = _unit_targets(source, d)
     if min(d1, d2) == 0.0:
         return math.inf
-    if rho >= 1.0:
-        # Identical components: describing the one with the tighter target
-        # covers the other. The region-B formula degenerates to 0/0 on the
-        # diagonal here, and this is its continuity limit.
-        return 0.5 * math.log2(1.0 / min(d1, d2))
     cond_var = _one_minus_rho2(rho)
-    region = classify_region(source, d)
-    if region is Region.A:
+    in_a, in_c = _regions(rho, d1, d2)
+    if in_a:
         prod = d1 * d2
         if prod < sys.float_info.min:
             # The product underflows; sum the logs instead.
             return 0.5 * (math.log2(1.0 / d1) + math.log2(1.0 / d2) + math.log2(cond_var))
         return 0.5 * math.log2(cond_var / prod)
-    if region is Region.B:
-        # den = d1 d2 - gap^2 with gap = rho - q, q = sqrt((1 - d1)(1 - d2)).
-        # Written so, it cancels to nothing as rho -> 1. As the product
-        # (a - gap)(a + gap), a = sqrt(d1 d2), each factor is formed from
-        # terms that do not cancel: 1 - q = (d1 + d2 - d1 d2) / (1 + q), and
-        # a - gap = (1 - rho) - (1 - a - q), where (a + q)^2 + w^2 = 1 for
-        # w = sqrt(d1 (1 - d2)) - sqrt(d2 (1 - d1)).
-        q = math.sqrt((1.0 - d1) * (1.0 - d2))
-        gap = (d1 + d2 - d1 * d2) / (1.0 + q) - (1.0 - rho)
-        w = math.sqrt(d1 * (1.0 - d2)) - math.sqrt(d2 * (1.0 - d1))
-        den = ((1.0 - rho) - w * w / (1.0 + math.sqrt(1.0 - w * w))) * (math.sqrt(d1 * d2) + gap)
-        if den <= 0.0:
-            raise ArithmeticError("inconsistent region evaluation")
-        return 0.5 * math.log2(cond_var / den)
-    return 0.5 * math.log2(1.0 / min(d1, d2))
+    if in_c or rho >= 1.0:
+        # At rho = 1 the components are identical: describing the one with
+        # the tighter target covers the other. The region-B formula
+        # degenerates to 0/0 on the diagonal there, and this is its
+        # continuity limit. Region A is empty at rho = 1.
+        return 0.5 * math.log2(1.0 / min(d1, d2))
+    # Region B. den = d1 d2 - gap^2 with gap = rho - q, q = sqrt((1 - d1)(1 - d2)).
+    # Written so, it cancels to nothing as rho -> 1. As the product
+    # (a - gap)(a + gap), a = sqrt(d1 d2), each factor is formed from
+    # terms that do not cancel: 1 - q = (d1 + d2 - d1 d2) / (1 + q), and
+    # a - gap = (1 - rho) - (1 - a - q), where (a + q)^2 + w^2 = 1 for
+    # w = sqrt(d1 (1 - d2)) - sqrt(d2 (1 - d1)).
+    q = math.sqrt((1.0 - d1) * (1.0 - d2))
+    gap = (d1 + d2 - d1 * d2) / (1.0 + q) - (1.0 - rho)
+    w = math.sqrt(d1 * (1.0 - d2)) - math.sqrt(d2 * (1.0 - d1))
+    den = ((1.0 - rho) - w * w / (1.0 + math.sqrt(1.0 - w * w))) * (math.sqrt(d1 * d2) + gap)
+    if den <= 0.0:
+        raise ArithmeticError("inconsistent region evaluation")
+    return 0.5 * math.log2(cond_var / den)
 
 
 def conditional_rd(source: SourceParams, d: float) -> float:

@@ -6,7 +6,7 @@ grid scans, Monte Carlo with statistical tolerances) and compares them to
 the library's answers. `run_criteria` executes all of them at "quick"
 or "full" scale and reports one pass/fail per criterion; the CLI `verify`
 command and the acceptance test suite both drive this module. On 2 CPUs
-`gmacfb verify --quick` takes about 0.5 s and `--full` about 2.8 s, the
+`gmacfb verify --quick` takes about 0.5 s and `--full` about 2.4 s, the
 largest part of it the feasibility oracle's scan, which runs on two
 streams and walks each instance in from both ends, block by block.
 """
@@ -35,7 +35,7 @@ from .bounds import (
     uncoded_distortion,
 )
 from .model import ChannelParams, DistortionPair, SourceParams, snr_threshold
-from .rate_distortion import Region, classify_region, conditional_rd, joint_rd, symmetric_joint_rd_inverse
+from .rate_distortion import _regions, conditional_rd, joint_rd, symmetric_joint_rd_inverse
 from .simulate import SimConfig, _run_streams, simulate_uncoded
 
 MC_SEED_BASE = 7000
@@ -178,8 +178,8 @@ def endpoint_threshold(scale: Scale) -> CriterionResult:
                 sum_rate_curve(source, p, 1.0, res.rho_star)
                 - single_user_curve(source, p, 1.0, res.rho_star)
             )
-            below = p <= snr_threshold(source)
-            values = np.maximum(_sum_rate_unit(rho, p, below, grid, sqrt=np.sqrt), _single_user_unit(rho, p, grid))
+            # 2 t_end / thr = rho (1 + rho) / (1 + 2 rho) < 1: always below.
+            values = np.maximum(_sum_rate_unit(rho, p, True, grid), _single_user_unit(rho, p, grid))
             idx = int(np.argmin(values))
             if res.rho_star >= 1.0:
                 problems.append(f"rho={rho} snr={p:.4g}: expected interior crossing")
@@ -332,68 +332,58 @@ def _written_form_predicates(s2: float, rho: float, d1: np.ndarray, d2: np.ndarr
     return a_loose, a_strict, b_loose, c_loose, c_strict
 
 
+def _partition_problems(rho: float, d1: np.ndarray, d2: np.ndarray) -> list[str]:
+    """`_regions` against the written-form predicates on unit-variance grid
+    points: each check that fails, named at its first failing point."""
+    a_loose, a_strict, b_loose, c_loose, c_strict = _written_form_predicates(1.0, rho, d1, d2, eps=1e-9)
+    in_a, in_c = _regions(rho, d1, d2)
+    # A point within eps of a boundary may take either side. First match:
+    # A only, A or B, C only, B or C, else B only.
+    labelled = np.select([a_strict, a_loose, c_strict, c_loose], [in_a, ~in_c, in_c, ~in_a], ~(in_a | in_c))
+    checks = {
+        "regions A and C overlap": a_strict & c_strict,
+        "region outside the written regions": ~labelled,
+        "B outside written region": ~(in_a | in_c | b_loose),
+    }
+    firsts = ((name, i) for name, bad in checks.items() for i in np.flatnonzero(bad)[:1])
+    return [f"rho={rho} d=({d1[i]:.4f},{d2[i]:.4f}): {name}" for name, i in firsts]
+
+
 def rd_properties(scale: Scale) -> CriterionResult:
     """Partition uniqueness, branch continuity, conditional-rate dominance
     and the diagonal inverse round trip."""
-    problems = []
     g = scale.rd_grid
+    d_axis = np.arange(1, g + 1) / g
+    d1, d2 = (axis.ravel() for axis in np.meshgrid(d_axis, d_axis))
+    # Both partitions first: their temporaries are the criterion's largest.
+    problems = [msg for rho in (0.35, 0.5) for msg in _partition_problems(rho, d1, d2)]
 
     for rho in (0.35, 0.5):
-        s2 = 1.0
-        source = SourceParams(s2, rho)
-        d_axis = s2 * (np.arange(1, g + 1) / g)
-        d1g, d2g = np.meshgrid(d_axis, d_axis)
-        a_loose, a_strict, b_loose, c_loose, c_strict = _written_form_predicates(
-            s2, rho, d1g.ravel(), d2g.ravel(), eps=1e-9 * s2
-        )
-        if np.any(a_strict & c_strict):
-            problems.append(f"rho={rho}: regions A and C overlap")
-        cond_cache = {float(dv): conditional_rd(source, float(dv)) for dv in d_axis}
-        for d1v, d2v, pa_lo, pa_hi, pb, pc_lo, pc_hi in zip(
-            d1g.ravel(), d2g.ravel(), a_loose, a_strict, b_loose, c_loose, c_strict
-        ):
-            pair = DistortionPair(float(d1v), float(d2v))
-            tag = classify_region(source, pair)
-            if pa_hi:
-                allowed = {Region.A}
-            elif pa_lo:
-                allowed = {Region.A, Region.B}
-            elif pc_hi:
-                allowed = {Region.C}
-            elif pc_lo:
-                allowed = {Region.B, Region.C}
-            else:
-                allowed = {Region.B}
-            if tag not in allowed:
-                problems.append(f"rho={rho} d=({d1v:.4f},{d2v:.4f}): {tag} not in {allowed}")
-                break
-            if tag is Region.B and not pb:
-                problems.append(f"rho={rho} d=({d1v:.4f},{d2v:.4f}): B outside written region")
-                break
-            rate = joint_rd(source, pair)
-            dom = max(cond_cache[float(d1v)], cond_cache[float(d2v)])
-            if rate < dom - 1e-12:
-                problems.append(f"rho={rho} d=({d1v:.4f},{d2v:.4f}): joint {rate} < conditional {dom}")
-                break
+        source = SourceParams(1.0, rho)
+        cond = np.array([conditional_rd(source, dv) for dv in d_axis.tolist()])
+        pairs = zip(map(float, d1), map(float, d2))
+        joint = np.fromiter((joint_rd(source, DistortionPair(a, b)) for a, b in pairs), float, len(d1))
+        # max(cond[d1], cond[d2]) at each point; the outer max is symmetric.
+        dom = np.maximum.outer(cond, cond).ravel()
+        for i in np.flatnonzero(joint < dom - 1e-12)[:1]:
+            problems.append(f"rho={rho} d=({d1[i]:.4f},{d2[i]:.4f}): joint {joint[i]} < conditional {dom[i]}")
 
     # Branch continuity on sampled boundary points.
     for rho in (0.35, 0.75):
-        s2 = 1.0
-        cva = s2 * (1.0 - rho * rho)
+        cva = 1.0 - rho * rho
         for t in np.linspace(0.05, 0.95, scale.boundary_points):
             d1v = t * cva
-            d2v = (cva - d1v) * s2 / (s2 - d1v)
-            f_a = 0.5 * math.log2(s2 * s2 * (1.0 - rho * rho) / (d1v * d2v))
-            gap = rho * s2 - math.sqrt((s2 - d1v) * (s2 - d2v))
-            f_b = 0.5 * math.log2(s2 * s2 * (1.0 - rho * rho) / (d1v * d2v - gap * gap))
+            d2v = (cva - d1v) / (1.0 - d1v)
+            f_a = 0.5 * math.log2(cva / (d1v * d2v))
+            gap = rho - math.sqrt((1.0 - d1v) * (1.0 - d2v))
+            f_b = 0.5 * math.log2(cva / (d1v * d2v - gap * gap))
             if abs(f_a - f_b) >= 1e-9:
                 problems.append(f"rho={rho} A/B boundary at d1={d1v:.4f}: jump {abs(f_a - f_b):.2e}")
-        for t in np.linspace(0.05, 1.0, scale.boundary_points):
-            d1v = t * s2
+        for d1v in np.linspace(0.05, 1.0, scale.boundary_points):
             d2v = cva + rho * rho * d1v
-            gap = rho * s2 - math.sqrt((s2 - d1v) * (s2 - d2v))
-            f_b = 0.5 * math.log2(s2 * s2 * (1.0 - rho * rho) / (d1v * d2v - gap * gap))
-            f_c = 0.5 * math.log2(s2 / d1v)
+            gap = rho - math.sqrt((1.0 - d1v) * (1.0 - d2v))
+            f_b = 0.5 * math.log2(cva / (d1v * d2v - gap * gap))
+            f_c = 0.5 * math.log2(1.0 / d1v)
             if abs(f_b - f_c) >= 1e-9:
                 problems.append(f"rho={rho} B/C boundary at d1={d1v:.4f}: jump {abs(f_b - f_c):.2e}")
 

@@ -23,7 +23,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gmacfb import DistortionPair, SourceParams, conditional_rd, joint_rd, simulate, verification
+from gmacfb import conditional_rd, joint_rd, simulate, verification
 from gmacfb.verification import SCALES, CriterionResult, CRITERIA, run_criteria
 
 FULL = SCALES["full"]
@@ -86,12 +86,11 @@ def _check_rate_scan_against_written_conditions():
     rng = np.random.default_rng(20)
     instances = []
     for _ in range(20):
-        s2 = rng.uniform(0.5, 2.0)
-        source = SourceParams(s2, rng.uniform(0.0, 0.95))
-        p1, p2 = rng.uniform(0.05, 4.0, size=2)
-        n0 = rng.uniform(0.25, 2.0)
-        d1, d2 = rng.uniform(0.05, 1.15, size=2) * s2
-        instances.append((p1, p2, n0, joint_rd(source, DistortionPair(d1, d2)), conditional_rd(source, d1), conditional_rd(source, d2)))
+        source, channel, pair = verification._oracle_instance(rng)
+        instances.append((
+            channel.p1, channel.p2, channel.n0,
+            joint_rd(source, pair), conditional_rd(source, pair.d1), conditional_rd(source, pair.d2),
+        ))
     cap_at_051 = 0.5 * math.log2(2.0 - 0.51 * 0.51)
     instances.append((1.0, 1.0, 1.0, 1.0, cap_at_051, cap_at_051))
     kinds = set()
@@ -190,6 +189,37 @@ def test_criterion_6_rd_properties():
 
     result = _run(rd_properties)
     assert result.passed, result.detail
+
+
+def test_rd_properties_reports_a_mislabelled_point(monkeypatch):
+    # The grid's first point, (1/60, 1/60) at quick scale, lies deep in
+    # region A; labelled C, it must fail the partition check.
+    real = verification._regions
+
+    def mislabel_first_point(rho, d1, d2):
+        in_a, in_c = (mask.copy() for mask in real(rho, d1, d2))
+        in_a[0], in_c[0] = False, True
+        return in_a, in_c
+
+    monkeypatch.setattr(verification, "_regions", mislabel_first_point)
+    result = verification.rd_properties(SCALES["quick"])
+    assert not result.passed
+    assert "rho=0.35 d=(0.0167,0.0167): region outside the written regions" in result.detail
+
+
+def test_rd_properties_reports_a_joint_rate_below_a_conditional_rate(monkeypatch):
+    real = verification.joint_rd
+
+    def low_at_one_point(source, pair):
+        if (pair.d1, pair.d2) == (0.5, 0.25):
+            return conditional_rd(source, 0.25) - 1e-9
+        return real(source, pair)
+
+    monkeypatch.setattr(verification, "joint_rd", low_at_one_point)
+    result = verification.rd_properties(SCALES["quick"])
+    assert not result.passed
+    assert "rho=0.35 d=(0.5000,0.2500): joint" in result.detail
+    assert "rho=0.5 d=(0.5000,0.2500): joint" in result.detail
 
 
 def test_criterion_7_determinism():

@@ -444,11 +444,19 @@ class TestMinimaxDomain:
     @settings(max_examples=300, deadline=None)
     @given(rho=DOMAIN["rho"], snr=DOMAIN["snr"], rts=st.lists(st.floats(0.0, 1.0), max_size=20))
     def test_kernels_on_arrays_match_scalar_kernels(self, rho, snr, rts):
+        # Only the low-rate branch of the sum-rate kernel takes an array.
         rt = np.array([0.0, 1.0, *rts])
-        for below in (False, True):
-            curve = _sum_rate_unit(rho, snr, below, rt, sqrt=np.sqrt)
-            assert curve.tolist() == [_sum_rate_unit(rho, snr, below, t) for t in rt.tolist()]
+        curve = _sum_rate_unit(rho, snr, True, rt)
+        assert curve.tolist() == [_sum_rate_unit(rho, snr, True, t) for t in rt.tolist()]
         assert _single_user_unit(rho, snr, rt).tolist() == [_single_user_unit(rho, snr, t) for t in rt.tolist()]
+
+    @settings(max_examples=300, deadline=None)
+    @given(rho=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_twice_endpoint_threshold_is_below_snr_threshold(self, rho):
+        # endpoint-threshold evaluates the sum-rate kernel's low-rate
+        # branch up to 2x the endpoint SNR; 2 t_end / thr = rho (1 + rho) / (1 + 2 rho).
+        src = SourceParams(1.0, rho)
+        assert 2.0 * endpoint_snr_threshold(src) < snr_threshold(src)
 
     @settings(max_examples=300, deadline=None)
     @given(sigma2=DOMAIN["sigma2"], n0=DOMAIN["n0"], snr=DOMAIN["snr"], rt=st.floats(0.0, 1.0))

@@ -4,7 +4,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from helpers import log_uniform
 
@@ -19,6 +19,7 @@ from gmacfb import (
     joint_rd,
     symmetric_joint_rd_inverse,
 )
+from gmacfb.rate_distortion import _regions
 
 HALF = SourceParams(1.0, 0.5)
 
@@ -65,6 +66,28 @@ class TestClassifyRegion:
         for d1 in (0.1, 0.5, 1.0):
             for d2 in (0.1, 0.5, 1.0):
                 assert classify_region(src, DistortionPair(d1, d2)) is Region.A
+
+
+class TestRegionsOnArrays:
+    # The A/B boundary (0.5, 0.5) and the B/C boundary (0.2, 0.8) at
+    # rho = 0.5, and the (1, 1) corner, are in every example.
+    EDGES = [(0.5, 0.5), (0.2, 0.8), (0.8, 0.2), (1.0, 1.0)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rho=st.floats(0.0, 1.0),
+        ds=st.lists(st.tuples(log_uniform(-12.0, 0.0), log_uniform(-12.0, 0.0)), max_size=40),
+    )
+    @example(rho=0.5, ds=[])
+    @example(rho=0.0, ds=[(0.3, 0.9), (1e-12, 1.0)])
+    @example(rho=1.0 - 1e-12, ds=[(1e-12, 1e-12), (0.3, 0.3 + 1e-13), (1.0, 1e-6)])
+    def test_masks_match_classify_region(self, rho, ds):
+        src = SourceParams(1.0, rho)
+        d1, d2 = np.array(self.EDGES + ds).T
+        in_a, in_c = _regions(rho, d1, d2)
+        labels = [classify_region(src, DistortionPair(a, b)) for a, b in zip(d1.tolist(), d2.tolist())]
+        assert in_a.tolist() == [r is Region.A for r in labels]
+        assert in_c.tolist() == [r is Region.C for r in labels]
 
 
 class TestJointRd:
