@@ -3,9 +3,11 @@
 Subcommands: rd (rate-distortion queries), bound (feasibility / lower
 bounds), simulate (Monte Carlo vs the closed form), sweep (CSV grids),
 verify (the full criteria suite). Every command has a --json twin carrying
-the same numbers at full double precision; text output uses nine
-significant digits. Exit codes: 0 success, 1 verification or statistical
-failure, 2 usage error or input beyond the numeric range (one `error:` line).
+the same numbers at full double precision. The text output of rd, bound
+and simulate is rendered from that JSON payload, one `key = value` line
+per non-null entry, numbers at nine significant digits. Exit codes: 0
+success, 1 verification or statistical failure, 2 usage error or input
+beyond the numeric range (one `error:` line).
 """
 
 from __future__ import annotations
@@ -21,10 +23,6 @@ from .rate_distortion import classify_region, conditional_rd, joint_rd
 from .simulate import DEFAULT_SEED, SimConfig, SimulationError, simulate_uncoded
 from .sweep import SweepSpec, write_sweep_csv
 from .verification import run_criteria
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.9g}"
 
 
 def _grid(text: str) -> tuple[float, ...]:
@@ -44,48 +42,43 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--sigma2", type=float, required=True, help="source variance")
+    source.add_argument("--rho", type=float, required=True, help="source correlation in [0, 1]")
 
-    rd = sub.add_parser("rd", help="rate-distortion function values")
-    rd.add_argument("--sigma2", type=float, required=True, help="source variance")
-    rd.add_argument("--rho", type=float, required=True, help="source correlation in [0, 1]")
+    rd = sub.add_parser("rd", parents=[source], help="rate-distortion function values")
     rd.add_argument("--d1", type=float, required=True, help="MSE target, component 1")
     rd.add_argument("--d2", type=float, required=True, help="MSE target, component 2")
-    rd.add_argument("--json", action="store_true", help="machine-readable output")
 
-    bound = sub.add_parser("bound", help="converse bound or feasibility test")
-    bound.add_argument("--sigma2", type=float, required=True)
-    bound.add_argument("--rho", type=float, required=True)
+    bound = sub.add_parser("bound", parents=[source], help="converse bound or feasibility test")
     bound.add_argument("--n", type=float, required=True, help="noise variance")
     bound.add_argument("--p", type=float, help="common power (symmetric case)")
     bound.add_argument("--p1", type=float, help="power of user 1 (general case)")
     bound.add_argument("--p2", type=float, help="power of user 2 (general case)")
     bound.add_argument("--d1", type=float, help="MSE target 1 (general case)")
     bound.add_argument("--d2", type=float, help="MSE target 2 (general case)")
-    bound.add_argument("--json", action="store_true")
 
-    sim = sub.add_parser("simulate", help="Monte Carlo run of the uncoded scheme")
-    sim.add_argument("--sigma2", type=float, required=True)
-    sim.add_argument("--rho", type=float, required=True)
+    sim = sub.add_parser("simulate", parents=[source], help="Monte Carlo run of the uncoded scheme")
     sim.add_argument("--p", type=float, required=True, help="per-user power")
     sim.add_argument("--n", type=float, required=True, help="noise variance")
     sim.add_argument("--symbols", type=int, required=True, help="number of source pairs")
     sim.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"RNG seed (default {DEFAULT_SEED})")
-    sim.add_argument("--json", action="store_true")
 
     sweep = sub.add_parser("sweep", help="bound-vs-scheme grid to CSV")
     sweep.add_argument("--sigma2", type=float, default=1.0)
     sweep.add_argument("--rho-grid", type=_grid, required=True, help="comma-separated rho values")
     sweep.add_argument("--snr-grid", type=_grid, required=True, help="comma-separated P/N values")
     sweep.add_argument("--out", required=True, help="output CSV path")
-    sweep.add_argument("--json", action="store_true")
 
     verify = sub.add_parser("verify", help="run the verification criteria")
     mode = verify.add_mutually_exclusive_group()
     mode.add_argument("--quick", dest="scale", action="store_const", const="quick")
     mode.add_argument("--full", dest="scale", action="store_const", const="full")
     verify.set_defaults(scale="quick")
-    verify.add_argument("--json", action="store_true")
 
+    # Declared last, so each usage line ends in [--json] as before.
+    for command in sub.choices.values():
+        command.add_argument("--json", action="store_true", help="machine-readable output")
     return parser
 
 
@@ -93,6 +86,22 @@ def build_parser() -> argparse.ArgumentParser:
 # as JSON under --json and the lines otherwise, then reports a non-empty
 # failure message on stderr with exit code 1.
 _Outcome = tuple[object, list[str], str | None]
+
+
+def _text(value: object) -> str:
+    if isinstance(value, bool):
+        return json.dumps(value)
+    if isinstance(value, float):
+        return f"{value:.9g}"
+    if isinstance(value, list):
+        return f"[{', '.join(map(_text, value))}]"
+    return str(value)
+
+
+def _render(payload: dict, keys: tuple[str, ...] | None = None) -> list[str]:
+    """One `key = value` line per non-null entry of payload (or of keys),
+    in order: floats at nine significant digits, flags as true/false."""
+    return [f"{key} = {_text(payload[key])}" for key in keys or payload if payload[key] is not None]
 
 
 def _cmd_rd(args: argparse.Namespace) -> _Outcome:
@@ -104,9 +113,7 @@ def _cmd_rd(args: argparse.Namespace) -> _Outcome:
         "cond1_bits": conditional_rd(source, args.d1),
         "cond2_bits": conditional_rd(source, args.d2),
     }
-    lines = [f"region = {payload['region']}"]
-    lines += [f"{key} = {_fmt(payload[key])}" for key in ("joint_bits", "cond1_bits", "cond2_bits")]
-    return payload, lines, None
+    return payload, _render(payload), None
 
 
 def _cmd_bound(args: argparse.Namespace) -> _Outcome:
@@ -124,28 +131,15 @@ def _cmd_bound(args: argparse.Namespace) -> _Outcome:
             "rho_star": res.rho_star,
             "active": res.active,
         }
-        lines = [
-            f"lower_bound = {_fmt(res.lower_bound)}",
-            f"rho_star = {_fmt(res.rho_star)}",
-            f"active = {res.active}",
-        ]
-        return payload, lines, None
-
-    channel = ChannelParams(args.p1, args.p2, args.n)
-    res = check_feasibility(source, channel, DistortionPair(args.d1, args.d2))
-    payload = {
-        "feasible": res.feasible,
-        "rho_interval": list(res.rho_interval) if res.rho_interval else None,
-        "witness": res.witness,
-    }
-    if not res.feasible:
-        return payload, ["feasible = false"], None
-    lines = [
-        "feasible = true",
-        f"rho_interval = [{_fmt(res.rho_interval[0])}, {_fmt(res.rho_interval[1])}]",
-        f"witness = {_fmt(res.witness)}",
-    ]
-    return payload, lines, None
+    else:
+        channel = ChannelParams(args.p1, args.p2, args.n)
+        res = check_feasibility(source, channel, DistortionPair(args.d1, args.d2))
+        payload = {
+            "feasible": res.feasible,
+            "rho_interval": list(res.rho_interval) if res.rho_interval else None,
+            "witness": res.witness,
+        }
+    return payload, _render(payload), None
 
 
 def _cmd_simulate(args: argparse.Namespace) -> _Outcome:
@@ -163,13 +157,10 @@ def _cmd_simulate(args: argparse.Namespace) -> _Outcome:
     z2 = z_score(report.d2_hat, report.stderr_d2)
     payload = dataclasses.asdict(report)
     payload.update({"d_uncoded": d_u, "z1": z1, "z2": z2, "seed": args.seed})
-    lines = [
-        f"{key} = {_fmt(payload[key])}"
-        for key in (
-            "d1_hat", "d2_hat", "stderr_d1", "stderr_d2",
-            "p1_hat", "p2_hat", "rho_tilde_hat", "d_uncoded", "z1", "z2",
-        )
-    ]
+    lines = _render(payload, (
+        "d1_hat", "d2_hat", "stderr_d1", "stderr_d2",
+        "p1_hat", "p2_hat", "rho_tilde_hat", "d_uncoded", "z1", "z2",
+    ))
     failure = None
     if max(abs(z1), abs(z2)) > 4.0:
         failure = "simulation disagrees with the analytic uncoded distortion (|z| > 4)"

@@ -6,7 +6,7 @@ grid scans, Monte Carlo with statistical tolerances) and compares them to
 the library's answers. `run_criteria` executes all of them at "quick"
 or "full" scale and reports one pass/fail per criterion; the CLI `verify`
 command and the acceptance test suite both drive this module. On 2 CPUs
-`gmacfb verify --quick` takes about 0.5 s and `--full` about 2.4 s, the
+`gmacfb verify --quick` takes about 0.65 s and `--full` about 2.7 s, the
 largest part of it the feasibility oracle's scan, which runs on two
 streams and walks each instance in from both ends, block by block.
 """
@@ -57,13 +57,14 @@ class Scale:
     scan_points: int
     instances: int
     rd_grid: int
-    boundary_points: int
 
 
 # The minimax grid has its stated size at either scale: the 1e-6 value
 # agreement is only reachable at that resolution, and the scan is a couple
-# of vectorized passes either way.
+# of vectorized passes either way. So do the sampled branch boundaries,
+# which cost microseconds.
 MINIMAX_POINTS = 100_000
+BOUNDARY_POINTS = 25
 
 SCALES = {
     "quick": Scale(
@@ -71,16 +72,20 @@ SCALES = {
         scan_points=100_000,
         instances=40,
         rd_grid=60,
-        boundary_points=10,
     ),
     "full": Scale(
         mc_symbols=1_000_000,
         scan_points=1_000_000,
         instances=200,
         rd_grid=200,
-        boundary_points=25,
     ),
 }
+
+
+def _verdict(name: str, problems: list[str], passed_detail: str) -> CriterionResult:
+    """Pass with passed_detail if there are no problems, else fail naming
+    the first four."""
+    return CriterionResult(name, not problems, "; ".join(problems[:4]) if problems else passed_detail)
 
 
 def tightness_below_threshold(scale: Scale) -> CriterionResult:
@@ -189,14 +194,7 @@ def endpoint_threshold(scale: Scale) -> CriterionResult:
                 problems.append(f"rho={rho} snr={p:.4g}: grid argmin off by {abs(grid[idx] - res.rho_star):.2e}")
             if abs(values[idx] - res.lower_bound) > 1e-6:
                 problems.append(f"rho={rho} snr={p:.4g}: grid value off by {abs(values[idx] - res.lower_bound):.2e}")
-    ok = not problems
-    return CriterionResult(
-        "endpoint-threshold",
-        ok,
-        "all endpoint/crossing placements verified against grid minimax"
-        if ok
-        else "; ".join(problems[:4]),
-    )
+    return _verdict("endpoint-threshold", problems, "all endpoint/crossing placements verified against grid minimax")
 
 
 # Grid points per block of the rate scan. Fixed, so the spans never
@@ -294,29 +292,25 @@ def feasibility_oracle(scale: Scale) -> CriterionResult:
             problems.append(
                 f"instance {i}: endpoints ({lo:.6f}, {hi:.6f}) vs scan ({scan_lo:.6f}, {scan_hi:.6f})"
             )
-    ok = not problems
-    return CriterionResult(
-        "feasibility-oracle",
-        ok,
-        f"{scale.instances} randomized instances scanned at {scale.scan_points} points"
-        if ok
-        else "; ".join(problems[:3]),
+    return _verdict(
+        "feasibility-oracle", problems, f"{scale.instances} randomized instances scanned at {scale.scan_points} points"
     )
 
 
-def _written_form_predicates(s2: float, rho: float, d1: np.ndarray, d2: np.ndarray, eps: float):
-    """Region membership evaluated directly from the defining inequalities
-    (division kept, symmetrized), independent of the classifier.
+def _written_form_predicates(rho: float, d1: np.ndarray, d2: np.ndarray, eps: float):
+    """Region membership of unit-variance targets evaluated directly from
+    the defining inequalities (division kept, symmetrized), independent of
+    the classifier.
 
     Returns loose and strict variants of the A and C tests, eps apart, so a
     grid point that lands exactly on a boundary (where rounding may push
     the two arithmetic routes to different sides) is recognized as
     ambiguous rather than flagged. The branch formulas agree there anyway.
     """
-    cva = s2 * (1.0 - rho * rho)
+    cva = 1.0 - rho * rho
     with np.errstate(divide="ignore", invalid="ignore"):
-        bound_a_12 = (cva - d1) * s2 / (s2 - d1)
-        bound_a_21 = (cva - d2) * s2 / (s2 - d2)
+        bound_a_12 = (cva - d1) / (1.0 - d1)
+        bound_a_21 = (cva - d2) / (1.0 - d2)
     a_loose = (d1 <= cva + eps) & (d2 <= bound_a_12 + eps)
     a_strict = (d1 <= cva - eps) & (d2 <= bound_a_12 - eps)
     hi, lo_ = np.maximum(d1, d2), np.minimum(d1, d2)
@@ -335,7 +329,7 @@ def _written_form_predicates(s2: float, rho: float, d1: np.ndarray, d2: np.ndarr
 def _partition_problems(rho: float, d1: np.ndarray, d2: np.ndarray) -> list[str]:
     """`_regions` against the written-form predicates on unit-variance grid
     points: each check that fails, named at its first failing point."""
-    a_loose, a_strict, b_loose, c_loose, c_strict = _written_form_predicates(1.0, rho, d1, d2, eps=1e-9)
+    a_loose, a_strict, b_loose, c_loose, c_strict = _written_form_predicates(rho, d1, d2, eps=1e-9)
     in_a, in_c = _regions(rho, d1, d2)
     # A point within eps of a boundary may take either side. First match:
     # A only, A or B, C only, B or C, else B only.
@@ -371,7 +365,7 @@ def rd_properties(scale: Scale) -> CriterionResult:
     # Branch continuity on sampled boundary points.
     for rho in (0.35, 0.75):
         cva = 1.0 - rho * rho
-        for t in np.linspace(0.05, 0.95, scale.boundary_points):
+        for t in np.linspace(0.05, 0.95, BOUNDARY_POINTS):
             d1v = t * cva
             d2v = (cva - d1v) / (1.0 - d1v)
             f_a = 0.5 * math.log2(cva / (d1v * d2v))
@@ -379,7 +373,7 @@ def rd_properties(scale: Scale) -> CriterionResult:
             f_b = 0.5 * math.log2(cva / (d1v * d2v - gap * gap))
             if abs(f_a - f_b) >= 1e-9:
                 problems.append(f"rho={rho} A/B boundary at d1={d1v:.4f}: jump {abs(f_a - f_b):.2e}")
-        for d1v in np.linspace(0.05, 1.0, scale.boundary_points):
+        for d1v in np.linspace(0.05, 1.0, BOUNDARY_POINTS):
             d2v = cva + rho * rho * d1v
             gap = rho - math.sqrt((1.0 - d1v) * (1.0 - d2v))
             f_b = 0.5 * math.log2(cva / (d1v * d2v - gap * gap))
@@ -396,14 +390,7 @@ def rd_properties(scale: Scale) -> CriterionResult:
             if abs(back - d) > 1e-12:
                 problems.append(f"rho={rho} d={d:.1f}: round trip off by {abs(back - d):.2e}")
 
-    ok = not problems
-    return CriterionResult(
-        "rd-properties",
-        ok,
-        f"partition, continuity, dominance, round trip verified on {g}x{g} grid"
-        if ok
-        else "; ".join(problems[:4]),
-    )
+    return _verdict("rd-properties", problems, f"partition, continuity, dominance, round trip verified on {g}x{g} grid")
 
 
 def determinism(scale: Scale) -> CriterionResult:
@@ -445,12 +432,7 @@ def determinism(scale: Scale) -> CriterionResult:
         if outputs[0] != outputs[1]:
             problems.append("sweep JSON output differs between identical runs")
 
-    ok = not problems
-    return CriterionResult(
-        "determinism",
-        ok,
-        "simulate and sweep reproduce byte-identical output" if ok else "; ".join(problems),
-    )
+    return _verdict("determinism", problems, "simulate and sweep reproduce byte-identical output")
 
 
 CRITERIA = (

@@ -1,18 +1,14 @@
-import io
 import json
 import math
 import os
 import subprocess
 import sys
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from helpers import log_uniform, run_inprocess
-
-from gmacfb import cli
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -26,27 +22,54 @@ def run_subprocess(args):
     )
 
 
-def assert_usage_error(proc):
+def assert_usage_error(run):
     """Exit 2 with exactly one `error:` line on stderr, so no traceback."""
-    assert proc.returncode == 2
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    code, _, err = run
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+def twin_text(value):
+    """A --json value as the text output shows it."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return "[" + ", ".join(f"{v:.9g}" for v in value) + "]"
+    return f"{value:.9g}" if isinstance(value, float) else value
+
+
+def assert_text_twin(args, keys):
+    """Text output is one `key = value` line per key, in this order, each
+    value the --json twin's; for rd and bound every other entry is null.
+    Returns the payload."""
+    (code, text, _), (json_code, out, _) = run_inprocess(args), run_inprocess([*args, "--json"])
+    assert code == json_code == 0
+    payload = json.loads(out)
+    assert text.splitlines() == [f"{key} = {twin_text(payload[key])}" for key in keys]
+    if args[0] != "simulate":
+        assert [key for key, value in payload.items() if value is not None] == keys
+    return payload
+
+
+SOURCE = ["--sigma2", "1", "--rho", "0.5"]
+RD_KEYS = ["region", "joint_bits", "cond1_bits", "cond2_bits"]
+BOUND_KEYS = ["lower_bound", "rho_star", "active"]
+GENERAL = ["bound", *SOURCE, "--n", "1", "--p1", "0.667", "--p2", "0.667"]
+SIMULATE = ["simulate", *SOURCE, "--p", "1", "--n", "1"]
 
 
 class TestRd:
     def test_region_a_example(self):
-        code, out = run_inprocess(["rd", "--sigma2", "1", "--rho", "0.5", "--d1", "0.3", "--d2", "0.3"])
-        assert code == 0
-        assert "region = A" in out
-        assert "joint_bits = 1.52944684" in out
+        payload = assert_text_twin(["rd", *SOURCE, "--d1", "0.3", "--d2", "0.3"], RD_KEYS)
+        assert payload["region"] == "A"
+        assert twin_text(payload["joint_bits"]) == "1.52944684"
 
     def test_zero_rate_example(self):
-        code, out = run_inprocess(["rd", "--sigma2", "1", "--rho", "0.5", "--d1", "1", "--d2", "1"])
-        assert code == 0
-        assert "joint_bits = 0" in out
+        assert assert_text_twin(["rd", *SOURCE, "--d1", "1", "--d2", "1"], RD_KEYS)["joint_bits"] == 0.0
 
     def test_json_twin_matches_library(self):
-        code, out = run_inprocess(["rd", "--sigma2", "1", "--rho", "0.5", "--d1", "0.3", "--d2", "0.3", "--json"])
+        code, out, _ = run_inprocess(["rd", "--sigma2", "1", "--rho", "0.5", "--d1", "0.3", "--d2", "0.3", "--json"])
         assert code == 0
         payload = json.loads(out)
         assert payload["region"] == "A"
@@ -56,8 +79,8 @@ class TestRd:
     def test_huge_variance_depends_on_the_ratio_only(self):
         # sigma2^2 overflows at 1e200; the rates depend only on d / sigma2 = 0.1.
         args = ["rd", "--rho", "0.5", "--json"]
-        code, out = run_inprocess(args + ["--sigma2", "1e200", "--d1", "1e199", "--d2", "1e199"])
-        _, unit = run_inprocess(args + ["--sigma2", "1", "--d1", "0.1", "--d2", "0.1"])
+        code, out, _ = run_inprocess(args + ["--sigma2", "1e200", "--d1", "1e199", "--d2", "1e199"])
+        _, unit, _ = run_inprocess(args + ["--sigma2", "1", "--d1", "0.1", "--d2", "0.1"])
         assert code == 0
         big, unit = json.loads(out), json.loads(unit)
         assert big["region"] == unit["region"] == "A"
@@ -66,47 +89,38 @@ class TestRd:
             assert big[key] == pytest.approx(unit[key], rel=1e-12)
 
     def test_rho_out_of_range_is_usage_error(self):
-        proc = run_subprocess(["rd", "--sigma2", "1", "--rho", "1.5", "--d1", "0.3", "--d2", "0.3"])
-        assert proc.returncode == 2
-        assert "rho out of range" in proc.stderr
+        code, _, err = run_inprocess(["rd", "--sigma2", "1", "--rho", "1.5", "--d1", "0.3", "--d2", "0.3"])
+        assert code == 2
+        assert "rho out of range" in err
 
     def test_missing_flag_is_usage_error(self):
-        proc = run_subprocess(["rd", "--sigma2", "1", "--rho", "0.5", "--d1", "0.3"])
-        assert proc.returncode == 2
+        code, _, _ = run_inprocess(["rd", "--sigma2", "1", "--rho", "0.5", "--d1", "0.3"])
+        assert code == 2
 
 
 class TestBound:
     def test_symmetric_threshold_point(self):
-        code, out = run_inprocess(["bound", "--sigma2", "1", "--rho", "0.5", "--p", "0.6666666667", "--n", "1"])
-        assert code == 0
-        values = dict(line.split(" = ") for line in out.strip().splitlines())
-        assert float(values["lower_bound"]) == pytest.approx(0.5, abs=1e-6)
-        assert float(values["rho_star"]) == pytest.approx(0.5, abs=1e-4)
+        payload = assert_text_twin(["bound", *SOURCE, "--p", "0.6666666667", "--n", "1"], BOUND_KEYS)
+        assert payload["lower_bound"] == pytest.approx(0.5, abs=1e-6)
+        assert payload["rho_star"] == pytest.approx(0.5, abs=1e-4)
+        assert payload["active"] == "crossing"
 
     def test_symmetric_endpoint_case(self):
-        code, out = run_inprocess(["bound", "--sigma2", "1", "--rho", "0.5", "--p", "0.1", "--n", "1", "--json"])
-        assert code == 0
-        payload = json.loads(out)
+        payload = assert_text_twin(["bound", *SOURCE, "--p", "0.1", "--n", "1"], BOUND_KEYS)
         assert payload["lower_bound"] == pytest.approx(0.7857142857142857, abs=1e-12)
         assert payload["rho_star"] == 1.0
         assert payload["active"] == "endpoint"
 
     def test_general_infeasible_example(self):
-        code, out = run_inprocess([
-            "bound", "--sigma2", "1", "--rho", "0.5", "--n", "1",
-            "--p1", "0.667", "--p2", "0.667", "--d1", "0.4", "--d2", "0.4",
-        ])
-        assert code == 0
-        assert "feasible = false" in out
+        assert assert_text_twin([*GENERAL, "--d1", "0.4", "--d2", "0.4"], ["feasible"])["feasible"] is False
 
     def test_extreme_targets_are_infeasible_not_a_traceback(self):
-        proc = run_subprocess([
-            "bound", "--sigma2", "1", "--rho", "0.5", "--n", "1",
-            "--p1", "1", "--p2", "1", "--d1", "1e-300", "--d2", "1e-300",
+        code, out, err = run_inprocess([
+            "bound", *SOURCE, "--n", "1", "--p1", "1", "--p2", "1", "--d1", "1e-300", "--d2", "1e-300",
         ])
-        assert proc.returncode == 0
-        assert proc.stdout == "feasible = false\n"
-        assert proc.stderr == ""
+        assert code == 0
+        assert out == "feasible = false\n"
+        assert err == ""
 
     @pytest.mark.parametrize("n, p", [("1", "1e-170"), ("1", "1e200"), ("1e-200", "1")])
     def test_extreme_powers_are_infeasible_not_a_traceback(self, n, p):
@@ -114,17 +128,14 @@ class TestBound:
         # snr = 1e200 the joint rate, about 335.3 bits at d = 1e-101,
         # exceeds the sum cap of about 333.2 bits, whatever n0 is.
         d = "0.9" if p == "1e-170" else "1e-101"
-        proc = run_subprocess([
-            "bound", "--sigma2", "1", "--rho", "0.5", "--n", n,
-            "--p1", p, "--p2", p, "--d1", d, "--d2", d,
-        ])
-        assert proc.returncode == 0
-        assert proc.stdout == "feasible = false\n"
-        assert proc.stderr == ""
+        code, out, err = run_inprocess(["bound", *SOURCE, "--n", n, "--p1", p, "--p2", p, "--d1", d, "--d2", d])
+        assert code == 0
+        assert out == "feasible = false\n"
+        assert err == ""
 
     def test_largest_powers_feasibility_is_finite(self):
         # 2 sqrt(p1 p2) overflows here while the sum cap is slack.
-        code, out = run_inprocess([
+        code, out, _ = run_inprocess([
             "bound", "--sigma2", "1", "--rho", "0.99", "--n", "1",
             "--p1", "1.7e308", "--p2", "1.7e308", "--d1", "1e-150", "--d2", "1e-150", "--json",
         ])
@@ -142,7 +153,7 @@ class TestBound:
         ("0.5", "1", "1.7e308", "4e-155", 0.378676470588235),
     ])
     def test_overflowing_rate_is_compared_in_the_log_domain(self, rho, n, p, d, lo):
-        code, out = run_inprocess([
+        code, out, _ = run_inprocess([
             "bound", "--sigma2", "1", "--rho", rho, "--n", n,
             "--p1", p, "--p2", p, "--d1", d, "--d2", d, "--json",
         ])
@@ -151,8 +162,8 @@ class TestBound:
 
     def test_huge_variance_feasibility_is_finite(self):
         args = ["bound", "--rho", "0.5", "--n", "1", "--p1", "1", "--p2", "1", "--json"]
-        code, out = run_inprocess(args + ["--sigma2", "1e200", "--d1", "5e199", "--d2", "5e199"])
-        _, unit = run_inprocess(args + ["--sigma2", "1", "--d1", "0.5", "--d2", "0.5"])
+        code, out, _ = run_inprocess(args + ["--sigma2", "1e200", "--d1", "5e199", "--d2", "5e199"])
+        _, unit, _ = run_inprocess(args + ["--sigma2", "1", "--d1", "0.5", "--d2", "0.5"])
         assert code == 0
         big, unit = json.loads(out), json.loads(unit)
         assert big["feasible"] is unit["feasible"] is True
@@ -160,7 +171,7 @@ class TestBound:
         assert big["witness"] == pytest.approx(unit["witness"], rel=1e-12)
 
     def test_overflowing_snr_is_usage_error(self):
-        assert_usage_error(run_subprocess([
+        assert_usage_error(run_inprocess([
             "bound", "--sigma2", "1e300", "--rho", "0.5", "--n", "1e-300", "--p", "1e300",
         ]))
 
@@ -187,46 +198,34 @@ class TestBound:
         )
 
     def test_general_feasible_reports_interval(self):
-        code, out = run_inprocess([
-            "bound", "--sigma2", "1", "--rho", "0.5", "--n", "1",
-            "--p1", "0.667", "--p2", "0.667", "--d1", "0.6", "--d2", "0.6", "--json",
-        ])
-        assert code == 0
-        payload = json.loads(out)
+        payload = assert_text_twin([*GENERAL, "--d1", "0.6", "--d2", "0.6"], ["feasible", "rho_interval", "witness"])
         assert payload["feasible"] is True
         lo, hi = payload["rho_interval"]
         assert 0.0 <= lo <= payload["witness"] <= hi <= 1.0
 
     def test_mixed_flags_rejected(self):
-        proc = run_subprocess([
-            "bound", "--sigma2", "1", "--rho", "0.5", "--n", "1",
-            "--p", "1", "--d1", "0.4",
-        ])
-        assert proc.returncode == 2
-        assert "not both" in proc.stderr
+        code, _, err = run_inprocess(["bound", *SOURCE, "--n", "1", "--p", "1", "--d1", "0.4"])
+        assert code == 2
+        assert "not both" in err
 
     def test_incomplete_general_flags_rejected(self):
-        proc = run_subprocess([
-            "bound", "--sigma2", "1", "--rho", "0.5", "--n", "1", "--d1", "0.4",
-        ])
-        assert proc.returncode == 2
+        code, _, _ = run_inprocess(["bound", *SOURCE, "--n", "1", "--d1", "0.4"])
+        assert code == 2
 
 
 class TestSimulate:
     def test_matches_formula_and_exits_zero(self):
-        code, out = run_inprocess([
-            "simulate", "--sigma2", "1", "--rho", "0.5", "--p", "1", "--n", "1",
-            "--symbols", "200000", "--seed", "42",
+        payload = assert_text_twin([*SIMULATE, "--symbols", "200000", "--seed", "42"], [
+            "d1_hat", "d2_hat", "stderr_d1", "stderr_d2", "p1_hat", "p2_hat",
+            "rho_tilde_hat", "d_uncoded", "z1", "z2",
         ])
-        assert code == 0
-        values = dict(line.split(" = ") for line in out.strip().splitlines())
-        assert float(values["d_uncoded"]) == pytest.approx(0.4375, abs=1e-9)
-        assert abs(float(values["z1"])) <= 4.0
-        assert abs(float(values["z2"])) <= 4.0
-        assert float(values["d1_hat"]) == pytest.approx(0.4375, abs=0.01)
+        assert payload["d_uncoded"] == pytest.approx(0.4375, abs=1e-9)
+        assert abs(payload["z1"]) <= 4.0
+        assert abs(payload["z2"]) <= 4.0
+        assert payload["d1_hat"] == pytest.approx(0.4375, abs=0.01)
 
     def test_json_twin_has_full_report(self):
-        code, out = run_inprocess([
+        code, out, _ = run_inprocess([
             "simulate", "--sigma2", "1", "--rho", "0.5", "--p", "1", "--n", "1",
             "--symbols", "50000", "--seed", "7", "--json",
         ])
@@ -238,12 +237,9 @@ class TestSimulate:
         assert payload["total_symbols"] == 50000
 
     def test_zero_symbols_usage_error(self):
-        proc = run_subprocess([
-            "simulate", "--sigma2", "1", "--rho", "0.5", "--p", "1", "--n", "1",
-            "--symbols", "0",
-        ])
-        assert proc.returncode == 2
-        assert "symbols" in proc.stderr
+        code, _, err = run_inprocess([*SIMULATE, "--symbols", "0"])
+        assert code == 2
+        assert "symbols" in err
 
     def test_byte_identical_reports_for_same_seed(self):
         args = ["simulate", "--sigma2", "1", "--rho", "0.5", "--p", "1", "--n", "1",
@@ -255,29 +251,26 @@ class TestSimulate:
 
     def test_statistical_outlier_exits_one(self):
         # seed 103 at 100 symbols lands z2 at -4.26, found by scanning seeds
-        proc = run_subprocess([
-            "simulate", "--sigma2", "1", "--rho", "0.5", "--p", "1", "--n", "1",
-            "--symbols", "100", "--seed", "103",
-        ])
-        assert proc.returncode == 1
-        assert "disagrees" in proc.stderr
+        code, _, err = run_inprocess([*SIMULATE, "--symbols", "100", "--seed", "103"])
+        assert code == 1
+        assert "disagrees" in err
 
     @pytest.mark.parametrize("sigma2", ["1e200", "1e-300", "1.7e308"])
     def test_extreme_variance_matches_formula(self, sigma2):
-        proc = run_subprocess([
+        code, out, err = run_inprocess([
             "simulate", "--sigma2", sigma2, "--rho", "0.5", "--p", "1", "--n", "1",
             "--symbols", "100000", "--seed", "3", "--json",
         ])
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr == ""
-        payload = json.loads(proc.stdout)
+        assert code == 0, err
+        assert err == ""
+        payload = json.loads(out)
         assert payload["d1_hat"] / float(sigma2) == pytest.approx(0.4375, abs=0.01)
         assert max(abs(payload["z1"]), abs(payload["z2"])) <= 4.0
 
     def test_tiny_power_keeps_input_correlation(self):
         # p1_hat * p2_hat underflows near 1e-600; the inputs are still
         # 0.5-correlated.
-        code, out = run_inprocess([
+        code, out, _ = run_inprocess([
             "simulate", "--sigma2", "1", "--rho", "0.5", "--p", "1e-300", "--n", "1",
             "--symbols", "100000", "--seed", "3", "--json",
         ])
@@ -287,40 +280,36 @@ class TestSimulate:
     def test_overflowing_power_is_usage_error(self):
         # Where 4 p / n0 overflows, simulate refuses (p, n0) as the bounds do.
         args = ["--sigma2", "1", "--rho", "0.5", "--p", "1e308", "--n", "1"]
-        proc = run_subprocess(["simulate", *args, "--symbols", "1000"])
-        assert_usage_error(proc)
-        assert proc.stderr == run_subprocess(["bound", *args]).stderr
-        assert proc.stderr == "error: p / n0 too large: 4 p / n0 overflows\n"
+        run = run_inprocess(["simulate", *args, "--symbols", "1000"])
+        assert_usage_error(run)
+        assert run[2] == run_inprocess(["bound", *args])[2]
+        assert run[2] == "error: p / n0 too large: 4 p / n0 overflows\n"
 
     @pytest.mark.parametrize("p, n", [("1e200", "1e200"), ("1e160", "1")])
     def test_huge_power_depends_on_the_ratio_only(self, p, n):
         # x^2 and its M2 would overflow in physical units; the run is
         # made at unit power and scaled by p once.
-        proc = run_subprocess([
-            "simulate", "--sigma2", "1", "--rho", "0.5", "--p", p, "--n", n,
-            "--symbols", "100000", "--seed", "3", "--json",
+        code, out, err = run_inprocess([
+            "simulate", *SOURCE, "--p", p, "--n", n, "--symbols", "100000", "--seed", "3", "--json",
         ])
-        assert proc.returncode == 0, proc.stderr
-        payload = json.loads(proc.stdout)
+        assert code == 0, err
+        payload = json.loads(out)
         assert all(math.isfinite(v) for v in payload.values())
         assert payload["p1_hat"] / float(p) == pytest.approx(1.0, abs=0.02)
 
     def test_huge_power_on_two_streams_exits_cleanly(self):
         # Five batches on two streams at p = 1e307: no statistic
         # overflows, so neither stream warns.
-        proc = run_subprocess([
-            "simulate", "--sigma2", "1", "--rho", "0.5", "--p", "1e307", "--n", "1",
-            "--symbols", "300000",
-        ])
-        assert proc.returncode == 0
-        assert proc.stderr == ""
+        code, _, err = run_inprocess(["simulate", *SOURCE, "--p", "1e307", "--n", "1", "--symbols", "300000"])
+        assert code == 0
+        assert err == ""
 
     def test_tiny_powers_audit_power_as_at_unit_power(self):
         # The M2 of x^2 underflowed at p = 1e-170, so stderr_p1 read 0 and
         # p1_flagged true; the audit is now the unit-power one.
         args = ["simulate", "--sigma2", "1", "--rho", "0.5", "--symbols", "1000", "--seed", "3", "--json"]
-        _, tiny = run_inprocess(args + ["--p", "1e-170", "--n", "1e-170"])
-        _, unit = run_inprocess(args + ["--p", "1", "--n", "1"])
+        _, tiny, _ = run_inprocess(args + ["--p", "1e-170", "--n", "1e-170"])
+        _, unit, _ = run_inprocess(args + ["--p", "1", "--n", "1"])
         tiny, unit = json.loads(tiny), json.loads(unit)
         assert tiny["stderr_p1"] > 0.0
         assert tiny["p1_flagged"] is unit["p1_flagged"] is False
@@ -329,14 +318,11 @@ class TestSimulate:
     def test_symbol_count_beyond_memory_is_usage_error(self):
         # The moments table of 10^18 symbols would take 1.08 PiB; numpy
         # refuses it before allocating anything.
-        assert_usage_error(run_subprocess([
-            "simulate", "--sigma2", "1", "--rho", "0.5", "--p", "1", "--n", "1",
-            "--symbols", "1000000000000000000",
-        ]))
+        assert_usage_error(run_inprocess([*SIMULATE, "--symbols", "1000000000000000000"]))
 
     def test_run_over_several_fixed_batches(self):
         # 200,000 symbols stream through four fixed batches.
-        code, out = run_inprocess([
+        code, out, _ = run_inprocess([
             "simulate", "--sigma2", "1", "--rho", "0.5", "--p", "1", "--n", "1",
             "--symbols", "200000", "--seed", "3", "--json",
         ])
@@ -344,18 +330,15 @@ class TestSimulate:
         assert json.loads(out)["total_symbols"] == 200000
 
     def test_chunks_flag_removed(self):
-        proc = run_subprocess([
-            "simulate", "--sigma2", "1", "--rho", "0.5", "--p", "1", "--n", "1",
-            "--symbols", "1000", "--chunks", "2",
-        ])
-        assert proc.returncode == 2
-        assert "--chunks" in proc.stderr
+        code, _, err = run_inprocess([*SIMULATE, "--symbols", "1000", "--chunks", "2"])
+        assert code == 2
+        assert "--chunks" in err
 
 
 class TestSweepCommand:
     def test_writes_csv_and_reports(self, tmp_path):
         out_path = tmp_path / "sweep.csv"
-        code, out = run_inprocess([
+        code, out, _ = run_inprocess([
             "sweep", "--sigma2", "1",
             "--rho-grid", "0.5", "--snr-grid", "0.6666666666666666",
             "--out", str(out_path),
@@ -370,7 +353,7 @@ class TestSweepCommand:
 
     def test_json_twin_mirrors_rows(self, tmp_path):
         out_path = tmp_path / "sweep.csv"
-        code, out = run_inprocess([
+        code, out, _ = run_inprocess([
             "sweep", "--rho-grid", "0.2,0.4", "--snr-grid", "1.0",
             "--out", str(out_path), "--json",
         ])
@@ -383,17 +366,17 @@ class TestSweepCommand:
             assert repr(row["lower_bound"]) == line.split(",")[4]
 
     def test_unwritable_path_fails_with_context(self, tmp_path):
-        proc = run_subprocess([
+        code, _, err = run_inprocess([
             "sweep", "--rho-grid", "0.5", "--snr-grid", "1.0",
             "--out", str(tmp_path / "missing" / "x.csv"),
         ])
-        assert proc.returncode == 1
-        assert "x.csv" in proc.stderr
+        assert code == 1
+        assert "x.csv" in err
 
     def test_huge_variance_scales_the_unit_rows(self, tmp_path):
         def rows(sigma2):
             path = tmp_path / f"{sigma2}.csv"
-            code, _ = run_inprocess([
+            code, _, _ = run_inprocess([
                 "sweep", "--sigma2", sigma2, "--rho-grid", "0.5", "--snr-grid", "0.1,10",
                 "--out", str(path),
             ])
@@ -406,27 +389,26 @@ class TestSweepCommand:
                 if unit[col]:
                     assert float(big[col]) == pytest.approx(1.7e308 * float(unit[col]), rel=1e-12)
 
-    def test_noise_flag_removed(self, tmp_path, capsys):
+    def test_noise_flag_removed(self, tmp_path):
         # The rows depend on snr alone, so there is no --n to set.
-        with pytest.raises(SystemExit) as exc:
-            cli.main([
-                "sweep", "--n", "1", "--rho-grid", "0.5", "--snr-grid", "1.0",
-                "--out", str(tmp_path / "x.csv"),
-            ])
-        assert exc.value.code == 2
-        assert "--n" in capsys.readouterr().err
+        code, _, err = run_inprocess([
+            "sweep", "--n", "1", "--rho-grid", "0.5", "--snr-grid", "1.0",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 2
+        assert "--n" in err
         assert not (tmp_path / "x.csv").exists()
 
     def test_overflowing_snr_is_usage_error(self, tmp_path):
-        assert_usage_error(run_subprocess([
+        assert_usage_error(run_inprocess([
             "sweep", "--rho-grid", "0.5", "--snr-grid", "1e308", "--out", str(tmp_path / "x.csv"),
         ]))
 
-    def test_bad_grid_value_usage_error(self):
-        proc = run_subprocess([
-            "sweep", "--rho-grid", "1.0", "--snr-grid", "1.0", "--out", "/tmp/ignored.csv",
+    def test_bad_grid_value_usage_error(self, tmp_path):
+        code, _, _ = run_inprocess([
+            "sweep", "--rho-grid", "1.0", "--snr-grid", "1.0", "--out", str(tmp_path / "x.csv"),
         ])
-        assert proc.returncode == 2
+        assert code == 2
 
 
 class TestVerifyCommand:
@@ -436,7 +418,7 @@ class TestVerifyCommand:
         # range it is provably smaller by a finite margin, so the
         # tightness criterion reports FAIL while every other criterion
         # passes. See the acceptance suite for the same split.
-        code, out = run_inprocess(["verify", "--quick"])
+        code, out, _ = run_inprocess(["verify", "--quick"])
         assert code == 1
         lines = out.strip().splitlines()
         statuses = {line.split()[1].rstrip(":"): line.split()[0] for line in lines}
@@ -446,15 +428,15 @@ class TestVerifyCommand:
                 assert status == "PASS", f"{name} unexpectedly failed"
 
     def test_json_twin(self):
-        code, out = run_inprocess(["verify", "--quick", "--json"])
+        code, out, _ = run_inprocess(["verify", "--quick", "--json"])
         assert code == 1
         payload = json.loads(out)
         assert len(payload) == 7
         assert {r["name"] for r in payload} >= {"determinism", "rd-properties"}
 
     def test_quick_and_full_flags_exclusive(self):
-        proc = run_subprocess(["verify", "--quick", "--full"])
-        assert proc.returncode == 2
+        code, _, _ = run_inprocess(["verify", "--quick", "--full"])
+        assert code == 2
 
 
 # Positive doubles, log-uniform over the whole range, subnormals included.
@@ -467,10 +449,8 @@ class TestNoTraceback:
 
     @staticmethod
     def exit_code(args):
-        out = io.StringIO()
-        with redirect_stdout(out), redirect_stderr(io.StringIO()):
-            code = cli.main([str(a) for a in args] + ["--json"])
-        assert "NaN" not in out.getvalue()
+        code, out, _ = run_inprocess([*args, "--json"])
+        assert "NaN" not in out
         return code
 
     @settings(max_examples=400, deadline=None)

@@ -19,7 +19,7 @@ DATA = Path(__file__).parent / "data"
 
 def sweep_csv(tmp_path, rho_grid, snr_grid):
     path = tmp_path / "sweep.csv"
-    code, _ = run_inprocess([
+    code, _, _ = run_inprocess([
         "sweep", "--sigma2", "1", "--rho-grid", rho_grid, "--snr-grid", snr_grid,
         "--out", str(path),
     ])
@@ -31,7 +31,7 @@ def sweep_csv(tmp_path, rho_grid, snr_grid):
 def test_simulate_json_stdout(symbols):
     # 200,000 symbols span four batches. A single symbol has no spread,
     # so its |z| is infinite and the run exits 1, with the report printed.
-    code, out = run_inprocess([
+    code, out, _ = run_inprocess([
         "simulate", "--sigma2", "1", "--rho", "0.5", "--p", "1", "--n", "1",
         "--symbols", str(symbols), "--seed", "3", "--json",
     ])
@@ -42,7 +42,7 @@ def test_simulate_json_stdout(symbols):
 def test_simulate_json_stdout_uneven_streams():
     # 16 batches, the last holding 16,963 symbols, so the two streams get
     # eight batches each and one of them ends on the partial batch.
-    code, out = run_inprocess([
+    code, out, _ = run_inprocess([
         "simulate", "--sigma2", "1", "--rho", "0.5", "--p", "1", "--n", "1",
         "--symbols", "1000003", "--seed", "7", "--json",
     ])
