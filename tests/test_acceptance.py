@@ -22,6 +22,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from helpers import log_uniform
 
 from gmacfb import conditional_rd, joint_rd, simulate, verification
 from gmacfb.verification import SCALES, CriterionResult, CRITERIA, run_criteria
@@ -75,13 +78,30 @@ def test_criterion_5_feasibility_oracle():
     assert result.passed, result.detail
 
 
+def _written_caps(grid, p1, p2, n0):
+    """The sum-rate, user-1 and user-2 caps as written, over the whole grid."""
+    sum_cap = 0.5 * np.log2(1.0 + (p1 + p2 + 2.0 * grid * math.sqrt(p1 * p2)) / n0)
+    priv = 1.0 - grid * grid
+    return sum_cap, 0.5 * np.log2(1.0 + p1 * priv / n0), 0.5 * np.log2(1.0 + p2 * priv / n0)
+
+
+def _written_hits(grid, rates):
+    """Indices where the three rate conditions hold as written."""
+    p1, p2, n0, r_joint, r1, r2 = rates
+    sum_cap, cap1, cap2 = _written_caps(grid, p1, p2, n0)
+    return np.flatnonzero((r_joint <= sum_cap) & (r1 <= cap1) & (r2 <= cap2))
+
+
 def _check_rate_scan_against_written_conditions():
     # The span walked in from both ends must be the first and last index of
     # the mask of the three rate conditions as written over the whole grid.
     # Instances are drawn as the oracle draws them; this seed gives empty,
-    # full and partial masks. The last instance is feasible on about
-    # [0.5, 0.51] only, inside one block at either block size, so both
-    # walks stop at the same block.
+    # full and partial masks. Four more take each early stop of the mask:
+    # only the sum rate, only user 1, or only user 2 fails everywhere, and
+    # the caps of one point, where the sum rate holds from it on and user 1
+    # up to it. The last instance is feasible on about [0.5, 0.51] only,
+    # inside one block at either block size, so both walks stop at the
+    # same block.
     grid = np.linspace(0.0, 1.0, 100_001)
     rng = np.random.default_rng(20)
     instances = []
@@ -91,21 +111,23 @@ def _check_rate_scan_against_written_conditions():
             channel.p1, channel.p2, channel.n0,
             joint_rd(source, pair), conditional_rd(source, pair.d1), conditional_rd(source, pair.d2),
         ))
+    sum_cap, cap1, _ = _written_caps(grid, 1.0, 1.0, 1.0)
+    instances += [
+        (1.0, 1.0, 1.0, 2.0, 0.0, 0.0),
+        (1.0, 1.0, 1.0, 0.0, 1.0, 0.0),
+        (1.0, 1.0, 1.0, 0.0, 0.0, 1.0),
+        (1.0, 1.0, 1.0, sum_cap[50_123], cap1[50_123], 0.0),
+    ]
     cap_at_051 = 0.5 * math.log2(2.0 - 0.51 * 0.51)
     instances.append((1.0, 1.0, 1.0, 1.0, cap_at_051, cap_at_051))
     kinds = set()
     for rates in instances:
-        p1, p2, n0, r_joint, r1, r2 = rates
-        sum_cap = 0.5 * np.log2(1.0 + (p1 + p2 + 2.0 * grid * math.sqrt(p1 * p2)) / n0)
-        priv = 1.0 - grid * grid
-        cap1 = 0.5 * np.log2(1.0 + p1 * priv / n0)
-        cap2 = 0.5 * np.log2(1.0 + p2 * priv / n0)
-        written = (r_joint <= sum_cap) & (r1 <= cap1) & (r2 <= cap2)
-        hits = np.flatnonzero(written)
+        hits = _written_hits(grid, rates)
         span = (hits[0], hits[-1]) if len(hits) else (-1, -1)
         assert verification._feasible_span(grid, rates) == span
         kinds.add("empty" if not len(hits) else "full" if len(hits) == len(grid) else "partial")
     assert kinds == {"empty", "full", "partial"}
+    assert _written_hits(grid, instances[-2]).tolist() == [50_123]
     first, last = span  # of the last instance
     assert 0 < last - first < 2_000 and first // verification._SCAN_BLOCK == last // verification._SCAN_BLOCK
 
@@ -119,6 +141,29 @@ def test_rate_scan_block_edges(monkeypatch):
     # the last block is ragged.
     monkeypatch.setattr(verification, "_SCAN_BLOCK", 4_099)
     _check_rate_scan_against_written_conditions()
+
+
+_PROPERTY_GRID = np.linspace(0.0, 1.0, 10_001)
+# 257 does not divide 10,001; a drawn index is any grid point, a block's
+# first point or the point before it, or None for a rate of 0 (holds
+# everywhere).
+_INDEX = st.none() | st.integers(0, 10_000) | st.builds(
+    lambda k, d: min(max(257 * k + d, 0), 10_000), st.integers(0, 10_000 // 257), st.integers(-1, 0)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p1=log_uniform(-3, 3), p2=log_uniform(-3, 3), n0=log_uniform(-3, 3), at=st.tuples(_INDEX, _INDEX, _INDEX))
+def test_rate_scan_property(p1, p2, n0, at):
+    # Each rate is its cap at a drawn grid point, so the ends of the span
+    # land anywhere, block edges included, or the span is empty.
+    caps = _written_caps(_PROPERTY_GRID, p1, p2, n0)
+    rates = (p1, p2, n0, *(0.0 if i is None else cap[i] for cap, i in zip(caps, at)))
+    hits = _written_hits(_PROPERTY_GRID, rates)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verification, "_SCAN_BLOCK", 257)
+        span = verification._feasible_span(_PROPERTY_GRID, rates)
+    assert span == ((hits[0], hits[-1]) if len(hits) else (-1, -1))
 
 
 def test_feasibility_oracle_independent_of_stream_count(monkeypatch):
@@ -172,8 +217,9 @@ def test_feasibility_oracle_helper_stream_error_reaches_caller(monkeypatch):
 
 
 def test_feasibility_oracle_memory_is_one_grid_and_block_temporaries():
-    # The 8 MB grid of 10^6 points plus each stream's block temporaries;
-    # one more array the size of the grid would not fit.
+    # The 8 MB grid of 10^6 points plus each stream's 1.2 MB scratch, which
+    # its instance's blocks reuse; one more array the size of the grid
+    # would not fit.
     verification.feasibility_oracle(FULL)
     tracemalloc.start()
     try:
