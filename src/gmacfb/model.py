@@ -97,4 +97,4 @@ def snr_threshold(source: SourceParams) -> float:
     """
     if source.rho >= 1.0:
         return math.inf
-    return source.rho / (1.0 - source.rho ** 2)
+    return source.rho / _one_minus_rho2(source.rho)

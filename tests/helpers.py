@@ -1,8 +1,10 @@
 """Helpers shared by the test modules."""
 
+import decimal
 import io
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 
 from hypothesis import strategies as st
 
@@ -31,3 +33,54 @@ def run_inprocess(args):
 def log_uniform(lo_exp: float, hi_exp: float):
     """Floats 10^e with e uniform on [lo_exp, hi_exp]."""
     return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
+# 60-digit references for the equal-power bound curves, in w = 1 - rho_tilde.
+# Every float argument converts to Decimal exactly.
+_EXACT = decimal.Context(prec=60)
+
+
+def exact_curves(rho: float, snr: float, below: bool, w) -> tuple[Decimal, Decimal]:
+    """(sum-rate curve, single-user curve) at unit variance, to 60 digits;
+    below picks the sum-rate curve's low-rate branch as the program does."""
+    with decimal.localcontext(_EXACT):
+        rho, snr, w = Decimal(rho), Decimal(snr), Decimal(w)
+        a = (1 - rho) * (1 + rho)
+        den = 1 + 2 * snr * (2 - w)
+        upper = ((1 + rho) / den + (1 - rho)) / 2 if below else (a / den).sqrt()
+        return upper, a / (1 + snr * w * (2 - w))
+
+
+def exact_minimax(rho: float, snr: float, below: bool, guess: float) -> Decimal:
+    """min over w in [0, 1] of the larger unit-variance curve, to 60 digits.
+
+    The sum-rate curve at w = 0 where it is on top there, the single-user
+    curve at w = 1 where that one is on top there, and otherwise the value at
+    the crossing. The crossing is refined by Newton from the w at which the
+    single-user curve equals guess (a float value of the minimax), and
+    certified by the sign of the difference one part in 1e40 to either side.
+    """
+    def g(w):
+        upper, lower = exact_curves(rho, snr, below, w)
+        return upper - lower
+
+    with decimal.localcontext(_EXACT):
+        if g(0) >= 0:
+            return exact_curves(rho, snr, below, 0)[0]
+        if g(1) <= 0:
+            return exact_curves(rho, snr, below, 1)[1]
+        r, s = Decimal(rho), Decimal(snr)
+        v = ((1 - r) * (1 + r) / Decimal(guess) - 1) / s
+        w = min(max(v, Decimal(0)), Decimal(1))
+        w = w / (1 + (1 - w).sqrt())
+        for _ in range(30):
+            upper, lower = exact_curves(rho, snr, below, w)
+            den, q = 1 + 2 * s * (2 - w), 1 + s * w * (2 - w)
+            d_upper = (1 + r) * s / (den * den) if below else upper * s / den
+            step = (upper - lower) / (d_upper + 2 * s * (1 - w) * lower / q)
+            w = min(max(w - step, Decimal(0)), Decimal(1))
+            if abs(step) <= w * Decimal("1e-50"):
+                break
+        eps = w * Decimal("1e-40")
+        assert g(w - eps) < 0 < g(w + eps), "crossing not certified"
+        return exact_curves(rho, snr, below, w)[0]

@@ -1,10 +1,11 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from helpers import log_uniform
+from helpers import exact_minimax, log_uniform
 
 from gmacfb import (
     BoundResult,
@@ -26,7 +27,7 @@ from gmacfb import (
 )
 from gmacfb import verification
 from gmacfb.bounds import _single_user_unit, _sum_rate_unit
-from gmacfb.model import _check_power_noise
+from gmacfb.model import _MAX_SNR
 
 HALF = SourceParams(1.0, 0.5)
 
@@ -270,8 +271,9 @@ class TestMinimaxLowerBound:
         res = minimax_lower_bound(HALF, p, 1.0)
         floor = sum_rate_curve(HALF, p, 1.0, 1.0)
         assert floor <= res.lower_bound <= floor * (1.0 + 1e-3)
-        # The search ends on float granularity here, not on the relative
-        # stop; the larger curve at the last midpoint would overshoot.
+        # The crossing lies about 1e-12 (p = 1e24) or 1e-150 (p = 1e300)
+        # from rho_tilde = 1, where rho_tilde's float spacing is 1.1e-16.
+        # The search runs in w = 1 - rho_tilde, whose spacing shrinks with w.
         assert res.lower_bound <= sum_rate_curve(HALF, p, 1.0, 1.0) * (1.0 + 1e-9)
         assert res.rho_star > 0.99
 
@@ -344,48 +346,6 @@ class TestDstarAndUncoded:
             assert d_u == pytest.approx(1.0 - float(rho), abs=1e-12)
 
 
-def _reference_minimax(source: SourceParams, p: float, n0: float) -> BoundResult:
-    """The bisection as it stood before the curve kernels were factored
-    out, verbatim, built on the public (validating) curves."""
-    snr = _check_power_noise(p, n0)
-
-    if snr <= endpoint_snr_threshold(source):
-        return BoundResult(sum_rate_curve(source, p, n0, 1.0), 1.0, "endpoint")
-
-    def curves(rt: float) -> tuple[float, float]:
-        return sum_rate_curve(source, p, n0, rt), single_user_curve(source, p, n0, rt)
-
-    upper, lo_value = curves(0.0)
-    if upper <= lo_value:
-        # The increasing curve already dominates at rho_tilde = 0, which
-        # only rounding causes (snr and rho near 0): the minimax is there.
-        return BoundResult(lo_value, 0.0, "crossing")
-    hi_value, lower = curves(1.0)
-    if hi_value >= lower:
-        # Numerically at the endpoint threshold despite the test above.
-        return BoundResult(hi_value, 1.0, "endpoint")
-
-    # The crossing stays inside [lo, hi], so the minimax is at least both
-    # lo_value (increasing curve at lo) and hi_value (decreasing one at hi).
-    lo, hi = 0.0, 1.0
-    best_rt, best_gap, best_value = 0.5, math.inf, math.nan
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        upper, lower = curves(mid)
-        g_mid = upper - lower
-        if abs(g_mid) < abs(best_gap):
-            best_rt, best_gap, best_value = mid, g_mid, upper if g_mid > 0.0 else lower
-        if abs(g_mid) <= 1e-12 * lower:
-            return BoundResult(best_value, best_rt, "crossing")
-        if hi - lo <= 1e-17:
-            break
-        if g_mid > 0.0:
-            lo, lo_value = mid, lower
-        else:
-            hi, hi_value = mid, upper
-    return BoundResult(max(lo_value, hi_value), best_rt, "crossing")
-
-
 # rho in [0, 1), sigma2 in 1e-300..1e300, n0 in 1e-100..1e100 and
 # snr = p / n0 in 1e-8..1e14, the last three log-uniform.
 DOMAIN = dict(
@@ -408,10 +368,18 @@ class TestMinimaxDomain:
     @given(**DOMAIN)
     @example(rho=0.5, sigma2=1.0, n0=1.0, snr=1e308)  # 4 p / n0 overflows
     @example(rho=0.0, sigma2=1.0, n0=1.0, snr=5.74643496871595e-17)  # rounding tie
-    @example(rho=0.5, sigma2=1e300, n0=1e-100, snr=1e24)  # float granularity
-    def test_matches_reference_bisection(self, rho, sigma2, n0, snr):
+    @example(rho=0.5, sigma2=1e300, n0=1e-100, snr=1e24)  # crossing 1e-12 from rho_tilde = 1
+    @example(rho=0.3, sigma2=1.0, n0=1.0, snr=endpoint_snr_threshold(SourceParams(1.0, 0.3)) * (1.0 + 1e-12))
+    @example(rho=1.0 - 1e-12, sigma2=1.0, n0=1.0, snr=1e13)
+    def test_within_4_ulps_of_the_exact_minimax(self, rho, sigma2, n0, snr):
         src, p = SourceParams(sigma2, rho), snr * n0
-        assert _outcome(minimax_lower_bound, src, p, n0) == _outcome(_reference_minimax, src, p, n0)
+        res = _outcome(minimax_lower_bound, src, p, n0)
+        if p / n0 > _MAX_SNR:
+            assert res == ("ParameterError", "p / n0 too large: 4 p / n0 overflows")
+            return
+        snr = p / n0
+        exact = Decimal(sigma2) * exact_minimax(rho, snr, snr <= snr_threshold(src), res.lower_bound / sigma2)
+        assert abs(Decimal(res.lower_bound) - exact) <= 4 * Decimal(math.ulp(float(exact)))
 
     @settings(max_examples=300, deadline=None)
     @given(**DOMAIN, t1=st.floats(0.0, 1.0), t2=st.floats(0.0, 1.0))
@@ -446,9 +414,10 @@ class TestMinimaxDomain:
     def test_kernels_on_arrays_match_scalar_kernels(self, rho, snr, rts):
         # Only the low-rate branch of the sum-rate kernel takes an array.
         rt = np.array([0.0, 1.0, *rts])
-        curve = _sum_rate_unit(rho, snr, True, rt)
-        assert curve.tolist() == [_sum_rate_unit(rho, snr, True, t) for t in rt.tolist()]
-        assert _single_user_unit(rho, snr, rt).tolist() == [_single_user_unit(rho, snr, t) for t in rt.tolist()]
+        curve = _sum_rate_unit(rho, snr, True, 1.0 + rt)
+        assert curve.tolist() == [_sum_rate_unit(rho, snr, True, 1.0 + t) for t in rt.tolist()]
+        single = _single_user_unit(rho, snr, 1.0 - rt * rt)
+        assert single.tolist() == [_single_user_unit(rho, snr, 1.0 - t * t) for t in rt.tolist()]
 
     @settings(max_examples=300, deadline=None)
     @given(rho=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
@@ -479,6 +448,8 @@ class TestFeasibilityDomain:
     @example(rho=0.0, sigma2=10.0 ** 114.5, n0=1.0, snr=1e-08)
     # The written region-B rate cancels to 3 % off as rho -> 1.
     @example(rho=0.9999999999999999, sigma2=7.768058856545415e111, n0=6.428802127937147e93, snr=93058753.68406802)
+    # D_u with 1 - rho * rho in place of (1 - rho)(1 + rho) lies below the sum-rate cap.
+    @example(rho=0.9999999906, sigma2=1.0, n0=1.0, snr=4.95e7)
     def test_uncoded_pair_is_feasible(self, rho, sigma2, n0, snr):
         # Uncoded transmission reaches (D_u, D_u), so the necessary
         # conditions must admit it.

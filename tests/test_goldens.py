@@ -4,7 +4,9 @@ The files under tests/data were captured from the CLI before the simulator
 became a plain symbol stream and before the bounds were normalised to a
 unit-variance source, and the 1,000,003-symbol run before the batches were
 split over two threads; none of these changes may move a byte of this
-output.
+output. The two sweep goldens were regenerated from the CLI once, when
+`1 - rho^2` took the form (1 - rho)(1 + rho) everywhere and the minimax
+became accurate to a few ulps.
 """
 
 import hashlib
