@@ -33,6 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import (
     ChannelParams,
     DistortionPair,
@@ -178,14 +180,20 @@ def check_feasibility(source: SourceParams, channel: ChannelParams, d: Distortio
     return FeasibilityResult(True, (lo, hi), 0.5 * (lo + hi))
 
 
-def _sum_rate_unit(rho: float, snr: float, below: bool, t):
-    """Unit-variance sum-rate curve at t = 1 + rho_tilde; below selects the
-    low-rate branch, which also takes an ndarray t. The one copy of the
-    formula: callers validate and scale by sigma2."""
+def _sum_rate_unit(rho: float, snr: float, t):
+    """Unit-variance sum-rate curve at t = 1 + rho_tilde, a float or an
+    ndarray: the diagonal's inverse at the cap 4^R = den = 1 + 2 snr t, in
+    region B where den (1 - rho) < 1 + rho and else in region A, whose
+    radicand is scaled by 2^600 and back (exact) so that it cannot underflow.
+    The one copy of the formula: callers validate and scale by sigma2."""
     den = 1.0 + 2.0 * snr * t
-    if below:
-        return 0.5 * ((1.0 + rho) / den + (1.0 - rho))
-    return math.sqrt(_one_minus_rho2(rho) / den)
+    in_b = den * (1.0 - rho) < 1.0 + rho
+    array = not isinstance(den, float)
+    if array or in_b:
+        low = 0.5 * ((1.0 + rho) / den + (1.0 - rho))
+    if array or not in_b:
+        high = (np.sqrt if array else math.sqrt)(_one_minus_rho2(rho) * 2.0 ** 600 / den) * 2.0 ** -300
+    return np.where(in_b, low, high) if array else low if in_b else high
 
 
 def _single_user_unit(rho: float, snr: float, v):
@@ -197,19 +205,15 @@ def _single_user_unit(rho: float, snr: float, v):
 def sum_rate_curve(source: SourceParams, p: float, n0: float, rho_tilde: float) -> float:
     """Distortion lower bound from the sum-rate condition, equal-power case.
 
-    Inverts the diagonal of the joint rate-distortion function at the cap
-    1/2 log2(1 + 2 (p/n0)(1 + rho_tilde)), on its low-rate branch when p/n0
-    is at or below the SNR threshold and on its high-rate branch above it.
-    The branch follows the SNR, not the cap, so away from the minimax's
-    operating point this is not the exact sum-rate bound (rho = 0.5,
-    p/n0 = 0.6, rho_tilde = 1: 0.470588, where `symmetric_joint_rd_inverse`
-    gives 0.469668). At rho_star the two agree to 1e-12 relative, so the
-    minimax is unaffected. Nonincreasing in rho_tilde.
+    The exact sum-rate bound: the diagonal of the joint rate-distortion
+    function inverted at the cap 1/2 log2(1 + 2 (p/n0)(1 + rho_tilde)), in
+    region B below (1/2) log2((1 + rho)/(1 - rho)) and in region A above;
+    the branches meet there with equal slope. Nonincreasing in rho_tilde,
+    up to an ulp where the branch changes.
     """
     rt = _check_rho_tilde(rho_tilde)
     snr = _check_power_noise(p, n0)
-    below = snr <= snr_threshold(source)
-    return source.sigma2 * _sum_rate_unit(source.rho, snr, below, 1.0 + rt)
+    return source.sigma2 * _sum_rate_unit(source.rho, snr, 1.0 + rt)
 
 
 def single_user_curve(source: SourceParams, p: float, n0: float, rho_tilde: float) -> float:
@@ -226,9 +230,7 @@ def endpoint_snr_threshold(source: SourceParams) -> float:
     """SNR below which the minimax sits at rho_tilde = 1 rather than at a
     crossing of the two curves: rho^2 / (2 (1 - rho) (1 + 2 rho))."""
     rho = source.rho
-    if rho >= 1.0:
-        return math.inf
-    return rho * rho / (2.0 * (1.0 - rho) * (1.0 + 2.0 * rho))
+    return rho * rho / (2.0 * (1.0 - rho) * (1.0 + 2.0 * rho)) if rho < 1.0 else math.inf
 
 
 def minimax_lower_bound(source: SourceParams, p: float, n0: float) -> BoundResult:
@@ -247,8 +249,7 @@ def minimax_lower_bound(source: SourceParams, p: float, n0: float) -> BoundResul
 
     p and n0 are validated once, here. The bracket ends rho_tilde = 0 and 1
     go through the public curves; every iterate, which lies in [0, 1] by
-    construction, calls the private unit-variance kernels directly. The
-    kernels are the only copy of each curve formula.
+    construction, calls the private unit-variance kernels directly.
     """
     snr = _check_power_noise(p, n0)
 
@@ -266,7 +267,6 @@ def minimax_lower_bound(source: SourceParams, p: float, n0: float) -> BoundResul
         return BoundResult(hi_value, 1.0, "endpoint")
 
     rho = source.rho
-    below = snr <= snr_threshold(source)
     # Newton on g(w) = S - U in w = 1 - rho_tilde, where S and U are the
     # unit curves, kept inside the bracket [lo, hi] with g(lo) < 0 < g(hi).
     # The start is the crossing's high-SNR asymptote.
@@ -276,7 +276,7 @@ def minimax_lower_bound(source: SourceParams, p: float, n0: float) -> BoundResul
         if not lo < w < hi:
             w = 0.5 * (lo + hi)
         t, v = 2.0 - w, w * (2.0 - w)
-        upper, lower = _sum_rate_unit(rho, snr, below, t), _single_user_unit(rho, snr, v)
+        upper, lower = _sum_rate_unit(rho, snr, t), _single_user_unit(rho, snr, v)
         g = upper - lower
         if g < 0.0:
             lo = w
@@ -285,7 +285,7 @@ def minimax_lower_bound(source: SourceParams, p: float, n0: float) -> BoundResul
         else:
             break
         den = 1.0 + 2.0 * snr * t
-        d_upper = (1.0 + rho) * snr / (den * den) if below else upper * snr / den
+        d_upper = (1.0 + rho) * snr / (den * den) if den * (1.0 - rho) < 1.0 + rho else upper * snr / den
         step = g / (d_upper + 2.0 * snr * (1.0 - w) * lower / (1.0 + snr * v))
         if abs(step) <= 2.0 * math.ulp(w) or 0.5 * (lo + hi) in (lo, hi):
             break

@@ -184,8 +184,7 @@ def endpoint_threshold(scale: Scale) -> CriterionResult:
                 sum_rate_curve(source, p, 1.0, res.rho_star)
                 - single_user_curve(source, p, 1.0, res.rho_star)
             )
-            # 2 t_end / thr = rho (1 + rho) / (1 + 2 rho) < 1: always below.
-            values = np.maximum(_sum_rate_unit(rho, p, True, 1.0 + grid), _single_user_unit(rho, p, 1.0 - grid * grid))
+            values = np.maximum(_sum_rate_unit(rho, p, 1.0 + grid), _single_user_unit(rho, p, 1.0 - grid * grid))
             idx = int(np.argmin(values))
             if res.rho_star >= 1.0:
                 problems.append(f"rho={rho} snr={p:.4g}: expected interior crossing")

@@ -40,18 +40,19 @@ def log_uniform(lo_exp: float, hi_exp: float):
 _EXACT = decimal.Context(prec=60)
 
 
-def exact_curves(rho: float, snr: float, below: bool, w) -> tuple[Decimal, Decimal]:
+def exact_curves(rho: float, snr: float, w) -> tuple[Decimal, Decimal]:
     """(sum-rate curve, single-user curve) at unit variance, to 60 digits;
-    below picks the sum-rate curve's low-rate branch as the program does."""
+    the sum-rate curve takes its region-B branch where the cap
+    4^R = den is below (1 + rho) / (1 - rho)."""
     with decimal.localcontext(_EXACT):
         rho, snr, w = Decimal(rho), Decimal(snr), Decimal(w)
         a = (1 - rho) * (1 + rho)
         den = 1 + 2 * snr * (2 - w)
-        upper = ((1 + rho) / den + (1 - rho)) / 2 if below else (a / den).sqrt()
+        upper = ((1 + rho) / den + (1 - rho)) / 2 if den * (1 - rho) < 1 + rho else (a / den).sqrt()
         return upper, a / (1 + snr * w * (2 - w))
 
 
-def exact_minimax(rho: float, snr: float, below: bool, guess: float) -> Decimal:
+def exact_minimax(rho: float, snr: float, guess: float) -> Decimal:
     """min over w in [0, 1] of the larger unit-variance curve, to 60 digits.
 
     The sum-rate curve at w = 0 where it is on top there, the single-user
@@ -61,26 +62,26 @@ def exact_minimax(rho: float, snr: float, below: bool, guess: float) -> Decimal:
     certified by the sign of the difference one part in 1e40 to either side.
     """
     def g(w):
-        upper, lower = exact_curves(rho, snr, below, w)
+        upper, lower = exact_curves(rho, snr, w)
         return upper - lower
 
     with decimal.localcontext(_EXACT):
         if g(0) >= 0:
-            return exact_curves(rho, snr, below, 0)[0]
+            return exact_curves(rho, snr, 0)[0]
         if g(1) <= 0:
-            return exact_curves(rho, snr, below, 1)[1]
+            return exact_curves(rho, snr, 1)[1]
         r, s = Decimal(rho), Decimal(snr)
         v = ((1 - r) * (1 + r) / Decimal(guess) - 1) / s
         w = min(max(v, Decimal(0)), Decimal(1))
         w = w / (1 + (1 - w).sqrt())
         for _ in range(30):
-            upper, lower = exact_curves(rho, snr, below, w)
+            upper, lower = exact_curves(rho, snr, w)
             den, q = 1 + 2 * s * (2 - w), 1 + s * w * (2 - w)
-            d_upper = (1 + r) * s / (den * den) if below else upper * s / den
+            d_upper = (1 + r) * s / (den * den) if den * (1 - r) < 1 + r else upper * s / den
             step = (upper - lower) / (d_upper + 2 * s * (1 - w) * lower / q)
             w = min(max(w - step, Decimal(0)), Decimal(1))
             if abs(step) <= w * Decimal("1e-50"):
                 break
         eps = w * Decimal("1e-40")
         assert g(w - eps) < 0 < g(w + eps), "crossing not certified"
-        return exact_curves(rho, snr, below, w)[0]
+        return exact_curves(rho, snr, w)[0]

@@ -371,6 +371,7 @@ class TestMinimaxDomain:
     @example(rho=0.5, sigma2=1e300, n0=1e-100, snr=1e24)  # crossing 1e-12 from rho_tilde = 1
     @example(rho=0.3, sigma2=1.0, n0=1.0, snr=endpoint_snr_threshold(SourceParams(1.0, 0.3)) * (1.0 + 1e-12))
     @example(rho=1.0 - 1e-12, sigma2=1.0, n0=1.0, snr=1e13)
+    @example(rho=0.9999999999999999, sigma2=1.0, n0=1.0, snr=3.27e307)  # (1 - rho^2) / den underflows
     def test_within_4_ulps_of_the_exact_minimax(self, rho, sigma2, n0, snr):
         src, p = SourceParams(sigma2, rho), snr * n0
         res = _outcome(minimax_lower_bound, src, p, n0)
@@ -378,7 +379,7 @@ class TestMinimaxDomain:
             assert res == ("ParameterError", "p / n0 too large: 4 p / n0 overflows")
             return
         snr = p / n0
-        exact = Decimal(sigma2) * exact_minimax(rho, snr, snr <= snr_threshold(src), res.lower_bound / sigma2)
+        exact = Decimal(sigma2) * exact_minimax(rho, snr, res.lower_bound / sigma2)
         assert abs(Decimal(res.lower_bound) - exact) <= 4 * Decimal(math.ulp(float(exact)))
 
     @settings(max_examples=300, deadline=None)
@@ -399,31 +400,33 @@ class TestMinimaxDomain:
 
 
     @settings(max_examples=300, deadline=None)
-    @given(**DOMAIN)
-    def test_sum_rate_curve_exact_at_rho_star(self, rho, sigma2, n0, snr):
-        # The curve picks its branch by the SNR, not by the rate it
-        # inverts; at the minimax's operating point that is the same.
+    @given(**DOMAIN, rt=st.floats(0.0, 1.0))
+    @example(rho=0.5, sigma2=1.0, n0=1.0, snr=0.6, rt=1.0)
+    @example(rho=0.9999998257568038, sigma2=1.0, n0=1.0, snr=2886569.7126392233, rt=0.1289408739217216)
+    def test_sum_rate_curve_is_exact_at_every_rho_tilde(self, rho, sigma2, n0, snr, rt):
+        # The curve is the diagonal's inverse at the sum-rate cap on
+        # whichever branch the cap falls, not only at rho_star.
         src, p = SourceParams(sigma2, rho), snr * n0
-        rho_star = minimax_lower_bound(src, p, n0).rho_star
-        cap = 0.5 * math.log2(1.0 + 2.0 * (p / n0) * (1.0 + rho_star))
+        cap = 0.5 * math.log2(1.0 + 2.0 * (p / n0) * (1.0 + rt))
         exact = symmetric_joint_rd_inverse(src, cap)
-        assert sum_rate_curve(src, p, n0, rho_star) == pytest.approx(exact, rel=1e-12)
+        assert sum_rate_curve(src, p, n0, rt) == pytest.approx(exact, rel=1e-12)
 
     @settings(max_examples=300, deadline=None)
     @given(rho=DOMAIN["rho"], snr=DOMAIN["snr"], rts=st.lists(st.floats(0.0, 1.0), max_size=20))
+    # den = 1 + 1.5 (1 + rt) runs from 2.5 to 4 and leaves region B at 3, rt = 1/3.
+    @example(rho=0.5, snr=0.75, rts=[0.3, 1.0 / 3.0, 0.4])
     def test_kernels_on_arrays_match_scalar_kernels(self, rho, snr, rts):
-        # Only the low-rate branch of the sum-rate kernel takes an array.
         rt = np.array([0.0, 1.0, *rts])
-        curve = _sum_rate_unit(rho, snr, True, 1.0 + rt)
-        assert curve.tolist() == [_sum_rate_unit(rho, snr, True, 1.0 + t) for t in rt.tolist()]
+        curve = _sum_rate_unit(rho, snr, 1.0 + rt)
+        assert curve.tolist() == [_sum_rate_unit(rho, snr, 1.0 + t) for t in rt.tolist()]
         single = _single_user_unit(rho, snr, 1.0 - rt * rt)
         assert single.tolist() == [_single_user_unit(rho, snr, 1.0 - t * t) for t in rt.tolist()]
 
     @settings(max_examples=300, deadline=None)
     @given(rho=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
     def test_twice_endpoint_threshold_is_below_snr_threshold(self, rho):
-        # endpoint-threshold evaluates the sum-rate kernel's low-rate
-        # branch up to 2x the endpoint SNR; 2 t_end / thr = rho (1 + rho) / (1 + 2 rho).
+        # The endpoint regime, and twice it, lies inside the regime where
+        # uncoded transmission is optimal: 2 t_end / thr = rho (1 + rho) / (1 + 2 rho) < 1.
         src = SourceParams(1.0, rho)
         assert 2.0 * endpoint_snr_threshold(src) < snr_threshold(src)
 

@@ -4,9 +4,11 @@ The files under tests/data were captured from the CLI before the simulator
 became a plain symbol stream and before the bounds were normalised to a
 unit-variance source, and the 1,000,003-symbol run before the batches were
 split over two threads; none of these changes may move a byte of this
-output. The two sweep goldens were regenerated from the CLI once, when
+output. The two sweep goldens were regenerated from the CLI twice: when
 `1 - rho^2` took the form (1 - rho)(1 + rho) everywhere and the minimax
-became accurate to a few ulps.
+became accurate to a few ulps, and when the sum-rate curve took its branch
+from the cap it inverts rather than from the SNR, which moved `rho_star`
+by at most 26 ulps of 1 - rho_star in 1 README row and 10 stratified rows.
 """
 
 import hashlib
