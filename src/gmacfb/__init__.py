@@ -1,5 +1,9 @@
 """Distortion bounds and simulation for correlated Gaussian sources on a
-two-user Gaussian multiple-access channel with causal feedback."""
+two-user Gaussian multiple-access channel with causal feedback.
+
+Importing it does not import numpy: the closed forms use only `math`, and
+the simulator's names load `gmacfb.simulate`, and numpy, on first access.
+"""
 
 from .bounds import (
     BoundResult,
@@ -14,9 +18,11 @@ from .bounds import (
     uncoded_distortion,
 )
 from .model import (
+    DEFAULT_SEED,
     ChannelParams,
     DistortionPair,
     ParameterError,
+    SimulationError,
     SourceParams,
     snr_threshold,
 )
@@ -28,14 +34,22 @@ from .rate_distortion import (
     joint_rd,
     symmetric_joint_rd_inverse,
 )
-from .simulate import (
-    DEFAULT_SEED,
-    SimConfig,
-    SimReport,
-    SimulationError,
-    simulate_uncoded,
-)
 from .sweep import COLUMNS, SweepSpec, format_csv, sweep_rows, write_sweep_csv
+
+# Resolved on first access (PEP 562), never cached: always simulate's objects.
+_SIMULATE_NAMES = ("SimConfig", "SimReport", "simulate_uncoded")
+
+
+def __getattr__(name: str):
+    if name in _SIMULATE_NAMES:
+        from . import simulate
+
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SIMULATE_NAMES})
 
 __all__ = [
     "BoundResult",

@@ -33,8 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import (
     ChannelParams,
     DistortionPair,
@@ -189,6 +187,8 @@ def _sum_rate_unit(rho: float, snr: float, t):
     den = 1.0 + 2.0 * snr * t
     in_b = den * (1.0 - rho) < 1.0 + rho
     array = not isinstance(den, float)
+    if array:
+        import numpy as np  # loaded here, so the float path runs without numpy
     if array or in_b:
         low = 0.5 * ((1.0 + rho) / den + (1.0 - rho))
     if array or not in_b:

@@ -8,6 +8,9 @@ and simulate is rendered from that JSON payload, one `key = value` line
 per non-null entry, numbers at nine significant digits. Exit codes: 0
 success, 1 verification or statistical failure, 2 usage error or input
 beyond the numeric range (one `error:` line).
+
+rd, bound and sweep never load numpy; simulate and verify import their
+modules, and numpy with them, on first use.
 """
 
 from __future__ import annotations
@@ -18,11 +21,9 @@ import json
 import sys
 
 from .bounds import check_feasibility, minimax_lower_bound, uncoded_distortion
-from .model import ChannelParams, DistortionPair, ParameterError, SourceParams
+from .model import DEFAULT_SEED, ChannelParams, DistortionPair, ParameterError, SimulationError, SourceParams
 from .rate_distortion import classify_region, conditional_rd, joint_rd
-from .simulate import DEFAULT_SEED, SimConfig, SimulationError, simulate_uncoded
 from .sweep import SweepSpec, write_sweep_csv
-from .verification import run_criteria
 
 
 def _grid(text: str) -> tuple[float, ...]:
@@ -143,6 +144,8 @@ def _cmd_bound(args: argparse.Namespace) -> _Outcome:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> _Outcome:
+    from .simulate import SimConfig, simulate_uncoded
+
     cfg = SimConfig(args.symbols, args.seed)
     source = SourceParams(args.sigma2, args.rho)
     report = simulate_uncoded(source, args.p, args.n, cfg)
@@ -174,6 +177,8 @@ def _cmd_sweep(args: argparse.Namespace) -> _Outcome:
 
 
 def _cmd_verify(args: argparse.Namespace) -> _Outcome:
+    from .verification import run_criteria
+
     results = run_criteria(args.scale)
     lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
     failed = [r.name for r in results if not r.passed]

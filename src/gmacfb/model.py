@@ -15,9 +15,16 @@ from dataclasses import dataclass
 # Largest p/n0 accepted: the curves evaluate up to 1 + 4 p/n0.
 _MAX_SNR = sys.float_info.max / 4.0
 
+# Here, with SimulationError, so the CLI reads them without importing numpy.
+DEFAULT_SEED = 123456789
+
 
 class ParameterError(ValueError):
     """A parameter is outside its allowed domain."""
+
+
+class SimulationError(RuntimeError):
+    """A run produced an unusable statistic."""
 
 
 def _check_power_noise(p: float, n0: float) -> float:
@@ -94,7 +101,8 @@ def snr_threshold(source: SourceParams) -> float:
 
     Strictly increasing in rho on [0, 1), and math.inf at rho = 1: for a
     fully correlated source uncoded transmission is optimal at every SNR.
+    Never negative: rho = -0.0 gives +0.0 (adding +0.0 changes no other value).
     """
     if source.rho >= 1.0:
         return math.inf
-    return source.rho / _one_minus_rho2(source.rho)
+    return source.rho / _one_minus_rho2(source.rho) + 0.0

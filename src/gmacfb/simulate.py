@@ -40,9 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ParameterError, SourceParams, _check_power_noise, _one_minus_rho2
-
-DEFAULT_SEED = 123456789
+from .model import DEFAULT_SEED, ParameterError, SimulationError, SourceParams, _check_power_noise, _one_minus_rho2
 
 # Symbols per batch: fixed, so it never changes the random stream.
 _BATCH_SYMBOLS = 1 << 16
@@ -50,10 +48,6 @@ _BATCH_SYMBOLS = 1 << 16
 # Streams that run batches at once. Each holds one batch's working set
 # (about 6 MB), so the cap bounds peak memory as well as threads.
 _MAX_WORKERS = 2
-
-
-class SimulationError(RuntimeError):
-    """A run produced an unusable statistic."""
 
 
 @dataclass(frozen=True)

@@ -10,16 +10,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from helpers import log_uniform, run_inprocess
 
+import gmacfb
+from gmacfb import model, simulate, sweep
+
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_subprocess(args):
+def run_python(*args):
+    """A fresh interpreter that imports gmacfb from this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, "-m", "gmacfb", *args],
-        capture_output=True, text=True, env=env,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_subprocess(args):
+    return run_python("-m", "gmacfb", *args)
 
 
 def assert_usage_error(run):
@@ -538,3 +543,75 @@ def test_console_entry_point_help():
     proc = run_subprocess(["--help"])
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
+
+
+# rd, bound, sweep and every --help run in a fresh interpreter, then
+# simulate; the script prints their exit codes and whether numpy was loaded
+# after each phase.
+_NUMPY_ON_FIRST_USE = """
+import contextlib, io, json, sys, tempfile
+from pathlib import Path
+
+import gmacfb
+import gmacfb.cli as cli
+
+cli.build_parser()
+
+
+def code(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            return cli.main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+source = ["--sigma2", "1", "--rho", "0.5"]
+with tempfile.TemporaryDirectory() as tmp:
+    closed_forms = [code(argv) for argv in (
+        ["rd", *source, "--d1", "0.3", "--d2", "0.4"],
+        ["bound", *source, "--n", "1", "--p", "10"],
+        ["bound", *source, "--n", "1", "--p1", "1", "--p2", "2", "--d1", "0.4", "--d2", "0.5"],
+        ["sweep", "--rho-grid", "0.3,0.9", "--snr-grid", "0.1,10", "--out", str(Path(tmp, "s.csv"))],
+        ["--help"], ["simulate", "--help"], ["verify", "--help"],
+    )]
+loaded_before = "numpy" in sys.modules
+simulated = code(["simulate", *source, "--p", "1", "--n", "1", "--symbols", "10"])
+print(json.dumps([closed_forms, loaded_before, simulated, "numpy" in sys.modules]))
+"""
+
+
+def test_closed_form_commands_never_load_numpy():
+    proc = run_python("-c", _NUMPY_ON_FIRST_USE)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert json.loads(proc.stdout) == [[0] * 7, False, 0, True]
+
+
+class TestPackageSurface:
+    def test_every_public_name_is_its_defining_modules_object(self):
+        constants = {"COLUMNS": sweep, "DEFAULT_SEED": model}
+        for name in gmacfb.__all__:
+            value = getattr(gmacfb, name)
+            owner = constants.get(name) or sys.modules[value.__module__]
+            assert getattr(owner, name) is value, name
+        assert gmacfb.SimulationError is simulate.SimulationError is model.SimulationError
+        assert gmacfb.DEFAULT_SEED is simulate.DEFAULT_SEED == 123456789
+        assert gmacfb.simulate_uncoded is simulate.simulate_uncoded
+
+    def test_star_import_binds_all(self):
+        namespace = {}
+        exec("from gmacfb import *", namespace)
+        assert set(gmacfb.__all__) <= namespace.keys()
+
+    def test_dir_lists_the_lazy_names(self):
+        assert set(gmacfb.__all__) <= set(dir(gmacfb))
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            gmacfb.no_such_name
+        assert not hasattr(gmacfb, "no_such_name")
+
+    def test_simulate_help_shows_the_default_seed(self):
+        code, out, _ = run_inprocess(["simulate", "--help"])
+        assert code == 0
+        assert "(default 123456789)" in out

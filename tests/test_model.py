@@ -61,6 +61,8 @@ class TestSnrThreshold:
 
     def test_independent_components_collapse(self):
         assert snr_threshold(SourceParams(1.0, 0.0)) == 0.0
+        # Never negative, not even -0.0 at rho = -0.0.
+        assert math.copysign(1.0, snr_threshold(SourceParams(1.0, -0.0))) == 1.0
 
     def test_fully_correlated_is_infinite(self):
         # Uncoded transmission is optimal at every SNR for identical components.

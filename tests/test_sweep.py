@@ -42,13 +42,14 @@ def test_threshold_row_all_equal():
 
 
 def test_rho_zero_rows_have_blank_dstar():
-    spec = SweepSpec(rho_grid=(0.0,), snr_grid=(0.1, 1.0, 5.0))
+    spec = SweepSpec(rho_grid=(0.0, -0.0), snr_grid=(0.1, 1.0, 5.0))
     for row in sweep_rows(spec):
         assert row["threshold_snr"] == 0.0
         assert row["below_threshold"] is False
         assert row["dstar_or_blank"] is None
     text = format_csv(sweep_rows(spec))
     for line in text.strip().split("\n")[1:]:
+        assert line.split(",")[2] == "0.0"  # +0.0 at rho = -0.0 too
         assert line.endswith(",")    # empty final cell
 
 
