@@ -31,10 +31,24 @@ from gmacfb.simulate import (
 HALF = SourceParams(1.0, 0.5)
 
 
+def draw_source(rho, n, rng):
+    """gen_source into fresh arrays."""
+    s1, s2, scratch = np.empty((3, n))
+    gen_source(rho, rng, s1, s2, scratch)
+    return s1, s2
+
+
+def channel(a, s1, s2, rng):
+    """run_channel into a fresh output."""
+    y, scratch = np.empty((2, len(s1)))
+    run_channel(a, s1, s2, rng, y, scratch)
+    return y
+
+
 class TestGenSource:
     def test_fully_correlated_components_coincide(self):
         rng = np.random.default_rng(7)
-        s1, s2 = gen_source(1.0, 10_000, rng)
+        s1, s2 = draw_source(1.0, 10_000, rng)
         assert np.array_equal(s1, s2)
 
     def test_coefficient_keeps_its_digits_near_full_correlation(self):
@@ -44,7 +58,7 @@ class TestGenSource:
         assert _one_minus_rho2(rho) == 2.0 ** -29 - 2.0 ** -60
         coeff = math.sqrt(_one_minus_rho2(rho))
         assert coeff != math.sqrt(1.0 - rho ** 2)
-        s1, s2 = gen_source(rho, 1_000, np.random.default_rng(5))
+        s1, s2 = draw_source(rho, 1_000, np.random.default_rng(5))
         g = np.random.default_rng(5).standard_normal((2, 1_000))
         assert np.array_equal(s1, g[0])
         assert np.array_equal(s2, coeff * g[1] + rho * g[0])
@@ -52,20 +66,20 @@ class TestGenSource:
     def test_independent_components_decorrelated(self):
         rng = np.random.default_rng(11)
         n = 1_000_000
-        s1, s2 = gen_source(0.0, n, rng)
+        s1, s2 = draw_source(0.0, n, rng)
         r = np.mean(s1 * s2) / math.sqrt(np.mean(s1 * s1) * np.mean(s2 * s2))
         assert abs(r) < 4.0 / math.sqrt(n)
 
     def test_empirical_correlation_tracks_rho(self):
         rng = np.random.default_rng(13)
-        s1, s2 = gen_source(0.5, 1_000_000, rng)
+        s1, s2 = draw_source(0.5, 1_000_000, rng)
         r = np.mean(s1 * s2) / math.sqrt(np.mean(s1 * s1) * np.mean(s2 * s2))
         assert r == pytest.approx(0.5, abs=0.004)
 
     def test_empirical_variances_are_unit(self):
         rng = np.random.default_rng(17)
         n = 400_000
-        s1, s2 = gen_source(0.3, n, rng)
+        s1, s2 = draw_source(0.3, n, rng)
         # var of the variance estimate is 2 / n
         radius = 4.0 * math.sqrt(2.0 / n)
         assert abs(np.mean(s1 * s1) - 1.0) < radius
@@ -93,34 +107,34 @@ class TestRunChannel:
     def test_zero_encoders_pass_noise_through(self):
         rng = np.random.default_rng(23)
         n = 200_000
-        s1, s2 = gen_source(0.5, n, rng)
-        y = run_channel(0.0, s1, s2, rng)
+        s1, s2 = draw_source(0.5, n, rng)
+        y = channel(0.0, s1, s2, rng)
         assert np.var(y) == pytest.approx(1.0, abs=4.0 * math.sqrt(2.0 / n))
 
     def test_near_noiseless_limit(self):
         rng = np.random.default_rng(29)
-        s1, s2 = gen_source(0.5, 1000, rng)
-        y = run_channel(1e6, s1, s2, rng)
+        s1, s2 = draw_source(0.5, 1000, rng)
+        y = channel(1e6, s1, s2, rng)
         np.testing.assert_allclose(y / 1e6, s1 + s2, atol=1e-4)
 
     def test_output_variance_identity(self):
         # var(y) = 2 a^2 (1 + rho) + 1 for the uncoded scheme
         rng = np.random.default_rng(31)
         n = 1_000_000
-        s1, s2 = gen_source(0.5, n, rng)
-        y = run_channel(1.0, s1, s2, rng)
+        s1, s2 = draw_source(0.5, n, rng)
+        y = channel(1.0, s1, s2, rng)
         target = 4.0
         assert np.var(y) == pytest.approx(target, abs=3.0 * target * math.sqrt(2.0 / n))
 
     def test_rejects_length_mismatch(self):
         rng = np.random.default_rng(47)
         with pytest.raises(ValueError):
-            run_channel(1.0, np.zeros(3), np.zeros(4), rng)
+            channel(1.0, np.zeros(3), np.zeros(4), rng)
 
 
 def decode_gain(rho, snr):
     """The decoder's coefficient c, read off a unit output."""
-    return float(mmse_decode_uncoded(rho, snr, np.ones(1))[0])
+    return float(mmse_decode_uncoded(rho, snr, np.ones(1), np.empty(1))[0])
 
 
 class TestMmseDecoder:
@@ -130,8 +144,8 @@ class TestMmseDecoder:
     def test_gain_matches_regression_slope(self):
         rng = np.random.default_rng(59)
         n = 500_000
-        s1, s2 = gen_source(0.5, n, rng)
-        y = run_channel(1.0, s1, s2, rng)
+        s1, s2 = draw_source(0.5, n, rng)
+        y = channel(1.0, s1, s2, rng)
         slope = float(np.vdot(s1, y) / np.vdot(y, y))
         assert slope == pytest.approx(decode_gain(0.5, 1.0), abs=0.003)
 
@@ -151,13 +165,13 @@ class TestMmseDecoder:
 
     def test_decode_applies_same_gain_to_both(self):
         y = np.array([1.0, -2.0, 0.5])
-        np.testing.assert_array_equal(mmse_decode_uncoded(0.5, 1.0, y), 0.375 * y)
+        np.testing.assert_array_equal(mmse_decode_uncoded(0.5, 1.0, y, np.empty(3)), 0.375 * y)
         # A batch's error rows both subtract the one estimate c y.
         rows = np.empty((5, 1000))
-        simulate._fill_rows(0.5, 1.0, np.random.default_rng(3), rows)
+        simulate._fill_rows(0.5, 1.0, np.random.default_rng(3), rows, np.empty((3, 1000)))
         rng = np.random.default_rng(3)
-        s1, s2 = gen_source(0.5, 1000, rng)
-        est = mmse_decode_uncoded(0.5, 1.0, run_channel(1.0, s1, s2, rng))
+        s1, s2 = draw_source(0.5, 1000, rng)
+        est = mmse_decode_uncoded(0.5, 1.0, channel(1.0, s1, s2, rng), np.empty(1000))
         np.testing.assert_array_equal(rows[0], (s1 - est) ** 2)
         np.testing.assert_array_equal(rows[1], (s2 - est) ** 2)
 
@@ -238,7 +252,7 @@ class TestSimulateUncoded:
         den2 = 0.0
         for batch, first in enumerate(range(0, cfg.symbols, _BATCH_SYMBOLS)):
             rng = np.random.default_rng((cfg.seed, batch))
-            s1, s2 = gen_source(0.5, min(_BATCH_SYMBOLS, cfg.symbols - first), rng)
+            s1, s2 = draw_source(0.5, min(_BATCH_SYMBOLS, cfg.symbols - first), rng)
             num += float(np.dot(s1, s2))
             den1 += float(np.dot(s1, s1))
             den2 += float(np.dot(s2, s2))
@@ -280,6 +294,76 @@ class TestSimulateUncoded:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+
+    def test_batches_allocate_only_the_workspaces(self, monkeypatch):
+        # Two streams, one workspace of 8 x 2^16 float64 each; every batch
+        # is filled in place, so longer runs add only 80 bytes of moments
+        # per batch.
+        monkeypatch.setattr(simulate, "_available_cpus", lambda: 2)
+        simulate_uncoded(HALF, 1.0, 1.0, SimConfig(1 << 17, seed=4))
+        workspaces = 2 * 8 * _BATCH_SYMBOLS * 8
+        peaks = []
+        for symbols in (1 << 20, 1 << 22):
+            tracemalloc.start()
+            try:
+                simulate_uncoded(HALF, 1.0, 1.0, SimConfig(symbols, seed=4))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= workspaces + 2 ** 18
+        assert abs(peaks[1] - peaks[0]) < 2 ** 16
+
+
+def parent_batch(rho, snr, rng, n):
+    """One batch as fresh arrays, one per step, in the operation order the
+    workspace keeps: the five moment rows, then s1, s2 and the estimate."""
+    g = rng.standard_normal((2, n))
+    g[1] *= math.sqrt(_one_minus_rho2(rho))
+    g[1] += rho * g[0]
+    s1, s2 = g
+    z = rng.standard_normal(n)
+    x1 = math.sqrt(snr) * s1
+    x2 = math.sqrt(snr) * s2
+    y = x1 + x2
+    y += z
+    one_plus = 1.0 + rho
+    est = math.sqrt(snr) * one_plus / (2.0 * snr * one_plus + 1.0) * y
+    return np.array([
+        np.square(s1 - est), np.square(s2 - est), s1 * s1, s2 * s2, s1 * s2, s1, s2, est,
+    ])
+
+
+class TestWorkspace:
+    """A stream's batches reuse one workspace in place: (5, 2^16) moment
+    rows and (3, 2^16) sources."""
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0 - 2.0 ** -30, 1.0])
+    @pytest.mark.parametrize("snr", [1e-9, 1.0, 3e7])
+    def test_reused_workspace_matches_fresh_arrays(self, rho, snr):
+        rows, sources = np.full((5, _BATCH_SYMBOLS), np.nan), np.full((3, _BATCH_SYMBOLS), np.nan)
+        for batch, n in enumerate((_BATCH_SYMBOLS, 1, 1000)):
+            simulate._fill_rows(rho, snr, np.random.default_rng((9, batch)), rows[:, :n], sources[:, :n])
+            got = np.concatenate((rows[:, :n], sources[:, :n]))
+            assert np.array_equal(got, parent_batch(rho, snr, np.random.default_rng((9, batch)), n))
+            assert not np.isnan(got).any()
+        assert not np.isnan(rows).any() and not np.isnan(sources).any()
+
+    def test_each_layer_runs_once_per_batch(self, monkeypatch):
+        # The bench times these three by name; 300,000 symbols are five
+        # batches, split over two streams.
+        calls = {name: [] for name in ("gen_source", "run_channel", "mmse_decode_uncoded")}
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls[name].append(None)
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(simulate, "_available_cpus", lambda: 2)
+        for name in calls:
+            monkeypatch.setattr(simulate, name, counted(name, getattr(simulate, name)))
+        simulate_uncoded(HALF, 1.0, 1.0, SimConfig(300_000, seed=2))
+        assert {name: len(made) for name, made in calls.items()} == dict.fromkeys(calls, 5)
 
 
 def _log2_uniform(lo: int, hi: int):
@@ -353,10 +437,10 @@ class TestStreams:
     def fail_on_odd_batch(monkeypatch):
         real = simulate.run_channel
 
-        def run_channel(a, s1, s2, rng):
+        def run_channel(a, s1, s2, rng, y, scratch):
             if rng.bit_generator.seed_seq.entropy[1] % 2:
                 raise SimulationError("odd batch failed")
-            return real(a, s1, s2, rng)
+            real(a, s1, s2, rng, y, scratch)
 
         monkeypatch.setattr(simulate, "_available_cpus", lambda: 2)
         monkeypatch.setattr(simulate, "run_channel", run_channel)
