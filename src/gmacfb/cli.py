@@ -3,11 +3,12 @@
 Subcommands: rd (rate-distortion queries), bound (feasibility / lower
 bounds), simulate (Monte Carlo vs the closed form), sweep (CSV grids),
 verify (the full criteria suite). Every command has a --json twin carrying
-the same numbers at full double precision. The text output of rd, bound
-and simulate is rendered from that JSON payload, one `key = value` line
-per non-null entry, numbers at nine significant digits. Exit codes: 0
-success, 1 verification or statistical failure, 2 usage error or input
-beyond the numeric range (one `error:` line).
+the same numbers at full double precision. The text output of rd and
+bound is rendered from that JSON payload, one `key = value` line per
+non-null entry, and that of simulate from ten named keys of it; numbers
+at nine significant digits. Exit codes: 0 success, 1 verification or
+statistical failure, 2 usage error or input beyond the numeric range (one
+`error:` line).
 
 rd, bound and sweep never load numpy; simulate and verify import their
 modules, and numpy with them, on first use.
@@ -94,7 +95,7 @@ def _text(value: object) -> str:
         return json.dumps(value)
     if isinstance(value, float):
         return f"{value:.9g}"
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return f"[{', '.join(map(_text, value))}]"
     return str(value)
 
@@ -127,19 +128,10 @@ def _cmd_bound(args: argparse.Namespace) -> _Outcome:
     source = SourceParams(args.sigma2, args.rho)
     if args.p is not None:
         res = minimax_lower_bound(source, args.p, args.n)
-        payload = {
-            "lower_bound": res.lower_bound,
-            "rho_star": res.rho_star,
-            "active": res.active,
-        }
     else:
         channel = ChannelParams(args.p1, args.p2, args.n)
         res = check_feasibility(source, channel, DistortionPair(args.d1, args.d2))
-        payload = {
-            "feasible": res.feasible,
-            "rho_interval": list(res.rho_interval) if res.rho_interval else None,
-            "witness": res.witness,
-        }
+    payload = dataclasses.asdict(res)
     return payload, _render(payload), None
 
 

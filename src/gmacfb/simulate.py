@@ -40,7 +40,7 @@ import math
 import os
 import threading
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -93,12 +93,7 @@ class SimReport:
     total_symbols: int
 
     def __post_init__(self) -> None:
-        fields = (
-            self.d1_hat, self.d2_hat, self.p1_hat, self.p2_hat,
-            self.rho_tilde_hat, self.stderr_d1, self.stderr_d2,
-            self.stderr_p1, self.stderr_p2,
-        )
-        if not all(math.isfinite(v) for v in fields):
+        if not all(math.isfinite(v) for v in astuple(self) if isinstance(v, float)):
             raise SimulationError("non-finite statistic in report")
         if self.p1_hat < 0.0 or self.p2_hat < 0.0:
             raise SimulationError("negative empirical power")

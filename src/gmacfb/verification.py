@@ -5,9 +5,8 @@ through an independent route (closed forms evaluated directly, brute-force
 grid scans, Monte Carlo with statistical tolerances) and compares them to
 the library's answers. `run_criteria` executes all of them at "quick"
 or "full" scale and reports one pass/fail per criterion; the CLI `verify`
-command and the acceptance test suite both drive this module. On 2 CPUs
-`gmacfb verify --quick` takes about 0.4 s and `--full` about 1.8 s, the
-largest part of it the feasibility oracle's scan, which runs on two
+command and the acceptance test suite both drive this module. The
+largest part of a run is the feasibility oracle's scan, which runs on two
 streams and walks each instance in from both ends, block by block, in
 one scratch per instance.
 """

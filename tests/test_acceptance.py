@@ -15,6 +15,7 @@ touches is additionally pinned by the threshold-anchor and
 endpoint-threshold criteria, which pass.
 """
 
+import dataclasses
 import math
 import sys
 import threading
@@ -26,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import log_uniform
 
-from gmacfb import conditional_rd, joint_rd, simulate, verification
+from gmacfb import FeasibilityResult, cli, conditional_rd, joint_rd, simulate, verification
 from gmacfb.verification import SCALES, CriterionResult, CRITERIA, run_criteria
 
 FULL = SCALES["full"]
@@ -71,11 +72,67 @@ def test_criterion_4_endpoint_threshold():
     assert result.passed, result.detail
 
 
+# Each tampering changes the minimax result at rho = 0.5 only: an endpoint
+# reported as a crossing, a crossing at rho_tilde = 1, a crossing moved off
+# the curves' intersection, and a crossing value off the grid minimum.
+@pytest.mark.parametrize("active, change, problems", [
+    ("endpoint", lambda res: {"active": "crossing"}, ["rho=0.5 snr=0.0625: expected endpoint"]),
+    ("crossing", lambda res: {"rho_star": 1.0}, ["rho=0.5 snr=0.1375: expected interior crossing"]),
+    ("crossing", lambda res: {"rho_star": res.rho_star - 0.01}, [
+        "rho=0.5 snr=0.1375: curve gap 2.75e-03", "rho=0.5 snr=0.1375: grid argmin off by 1.00e-02",
+    ]),
+    ("crossing", lambda res: {"lower_bound": res.lower_bound + 1e-5}, ["rho=0.5 snr=0.1375: grid value off by 9.75e-06"]),
+], ids=["endpoint-as-crossing", "crossing-at-one", "crossing-shifted", "crossing-value-off"])
+def test_endpoint_threshold_reports_a_misplaced_minimax(monkeypatch, active, change, problems):
+    real = verification.minimax_lower_bound
+
+    def tampered(source, p, n0):
+        res = real(source, p, n0)
+        if source.rho == 0.5 and res.active == active:
+            return dataclasses.replace(res, **change(res))
+        return res
+
+    monkeypatch.setattr(verification, "minimax_lower_bound", tampered)
+    result = verification.endpoint_threshold(SCALES["quick"])
+    assert not result.passed
+    for problem in problems:
+        assert problem in result.detail
+
+
 def test_criterion_5_feasibility_oracle():
     from gmacfb.verification import feasibility_oracle
 
     result = _run(feasibility_oracle)
     assert result.passed, result.detail
+
+
+def test_feasibility_oracle_reports_a_wrong_interval(monkeypatch):
+    # Of the quick scale's instances, 0 is infeasible, 8 feasible on about
+    # 0.43 of [0, 1] and 9 on about 0.56. Report 0 as feasible on [0, 1],
+    # narrow 8 by 0.1 at its top, and report 9 as infeasible.
+    real = verification.check_feasibility
+    calls = []
+
+    def tampered(source, channel, pair):
+        res = real(source, channel, pair)
+        calls.append(res)
+        i = len(calls) - 1
+        if i == 0:
+            return FeasibilityResult(True, (0.0, 1.0), 0.5)
+        if i == 8:
+            lo, hi = res.rho_interval
+            return FeasibilityResult(True, (lo, hi - 0.1), 0.5 * (lo + hi - 0.1))
+        if i == 9:
+            return FeasibilityResult(False, None, None)
+        return res
+
+    monkeypatch.setattr(verification, "check_feasibility", tampered)
+    result = verification.feasibility_oracle(SCALES["quick"])
+    assert not calls[0].feasible and calls[8].feasible and calls[9].feasible
+    assert not result.passed
+    assert "instance 0: scan empty, closed-form interval wide" in result.detail
+    assert "instance 8: endpoints (" in result.detail
+    assert "instance 9: scan feasible on [" in result.detail and "closed-form infeasible" in result.detail
 
 
 def _written_caps(grid, p1, p2, n0):
@@ -268,11 +325,46 @@ def test_rd_properties_reports_a_joint_rate_below_a_conditional_rate(monkeypatch
     assert "rho=0.5 d=(0.5000,0.2500): joint" in result.detail
 
 
+def test_rd_properties_reports_a_round_trip_error(monkeypatch):
+    real = verification.symmetric_joint_rd_inverse
+    monkeypatch.setattr(verification, "symmetric_joint_rd_inverse", lambda source, rate: real(source, rate) + 1e-9)
+    result = verification.rd_properties(SCALES["quick"])
+    assert not result.passed
+    assert "rho=0.0 d=0.1: round trip off by 1.00e-09" in result.detail
+
+
 def test_criterion_7_determinism():
     from gmacfb.verification import determinism
 
     result = _run(determinism)
     assert result.passed, result.detail
+
+
+def test_determinism_reports_differing_runs(monkeypatch):
+    # Every second run prints one more line, and the sweep's also writes
+    # one more byte to its CSV.
+    real = cli.main
+    runs = []
+
+    def drifting(argv):
+        code = real(argv)
+        runs.append(argv)
+        if len(runs) % 2 == 0:
+            print("drift")
+            if "--out" in argv:
+                with open(argv[argv.index("--out") + 1], "a") as fh:
+                    fh.write("x")
+        return code
+
+    monkeypatch.setattr(cli, "main", drifting)
+    result = verification.determinism(SCALES["quick"])
+    assert len(runs) == 4
+    assert not result.passed
+    assert result.detail == (
+        "simulate output differs between identical runs; "
+        "sweep CSV bytes differ between identical runs; "
+        "sweep JSON output differs between identical runs"
+    )
 
 
 def test_criteria_registry_is_complete():

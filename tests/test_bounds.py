@@ -242,6 +242,12 @@ class TestMinimaxLowerBound:
         assert below.rho_star == 1.0 and below.active == "endpoint"
         assert above.rho_star < 1.0 and above.active == "crossing"
 
+    def test_endpoint_rounding_guard(self):
+        # One ulp above the endpoint threshold 0.125 both curves round to
+        # 0.75 at rho_tilde = 1, so the minimax is the endpoint, not a
+        # crossing at 1 - 1 ulp. The exact minimax is 0.23 ulp from 0.75.
+        assert minimax_lower_bound(HALF, 0.12500000000000003, 1.0) == BoundResult(0.75, 1.0, "endpoint")
+
     def test_crossing_gap_within_tolerance(self):
         for rho in (0.0, 0.3, 0.8):
             src = SourceParams(1.0, rho)
@@ -370,6 +376,7 @@ class TestMinimaxDomain:
     @example(rho=0.0, sigma2=1.0, n0=1.0, snr=5.74643496871595e-17)  # rounding tie
     @example(rho=0.5, sigma2=1e300, n0=1e-100, snr=1e24)  # crossing 1e-12 from rho_tilde = 1
     @example(rho=0.3, sigma2=1.0, n0=1.0, snr=endpoint_snr_threshold(SourceParams(1.0, 0.3)) * (1.0 + 1e-12))
+    @example(rho=0.5, sigma2=1.0, n0=1.0, snr=0.12500000000000003)  # endpoint rounding guard
     @example(rho=1.0 - 1e-12, sigma2=1.0, n0=1.0, snr=1e13)
     @example(rho=0.9999999999999999, sigma2=1.0, n0=1.0, snr=3.27e307)  # (1 - rho^2) / den underflows
     def test_within_4_ulps_of_the_exact_minimax(self, rho, sigma2, n0, snr):

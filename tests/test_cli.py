@@ -415,6 +415,15 @@ class TestSweepCommand:
         ])
         assert code == 2
 
+    def test_unparsable_grid_value_usage_error(self, tmp_path):
+        code, _, err = run_inprocess([
+            "sweep", "--rho-grid", "0.1,abc", "--snr-grid", "1", "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 2
+        assert err.endswith("bad grid value: could not convert string to float: 'abc'\n")
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestVerifyCommand:
     def test_quick_reports_known_tightness_gap(self):

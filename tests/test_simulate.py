@@ -276,9 +276,17 @@ class TestSimulateUncoded:
         with pytest.raises(SimulationError):
             dataclasses.replace(rep, rho_tilde_hat=1.5)
         with pytest.raises(SimulationError):
-            dataclasses.replace(rep, d1_hat=math.nan)
-        with pytest.raises(SimulationError):
             dataclasses.replace(rep, p1_hat=-0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [
+        "d1_hat", "d2_hat", "p1_hat", "p2_hat", "rho_tilde_hat",
+        "stderr_d1", "stderr_d2", "stderr_p1", "stderr_p2",
+    ])
+    def test_report_rejects_non_finite_statistics(self, field, value):
+        rep = simulate_uncoded(HALF, 1.0, 1.0, SimConfig(1000, seed=1))
+        with pytest.raises(SimulationError, match="non-finite statistic"):
+            dataclasses.replace(rep, **{field: value})
 
     def test_symbol_count_beyond_any_array_is_parameter_error(self):
         # numpy refuses a moments table of this size before allocating.
