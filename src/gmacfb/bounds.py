@@ -178,27 +178,23 @@ def check_feasibility(source: SourceParams, channel: ChannelParams, d: Distortio
     return FeasibilityResult(True, (lo, hi), 0.5 * (lo + hi))
 
 
-def _sum_rate_unit(rho: float, snr: float, t):
-    """Unit-variance sum-rate curve at t = 1 + rho_tilde, a float or an
-    ndarray: the diagonal's inverse at the cap 4^R = den = 1 + 2 snr t, in
-    region B where den (1 - rho) < 1 + rho and else in region A, whose
-    radicand is scaled by 2^600 and back (exact) so that it cannot underflow.
-    The one copy of the formula: callers validate and scale by sigma2."""
+def _sum_rate_unit(rho: float, snr: float, t: float) -> tuple[float, float]:
+    """Unit-variance sum-rate curve at t = 1 + rho_tilde, and its slope in
+    w = 1 - rho_tilde: the diagonal's inverse at the cap 4^R = den =
+    1 + 2 snr t, in region B where den (1 - rho) < 1 + rho and else in
+    region A, whose radicand is scaled by 2^600 and back (exact) so that it
+    cannot underflow. The one copy of the formula and of its branch test:
+    callers validate and scale by sigma2."""
     den = 1.0 + 2.0 * snr * t
-    in_b = den * (1.0 - rho) < 1.0 + rho
-    array = not isinstance(den, float)
-    if array:
-        import numpy as np  # loaded here, so the float path runs without numpy
-    if array or in_b:
-        low = 0.5 * ((1.0 + rho) / den + (1.0 - rho))
-    if array or not in_b:
-        high = (np.sqrt if array else math.sqrt)(_one_minus_rho2(rho) * 2.0 ** 600 / den) * 2.0 ** -300
-    return np.where(in_b, low, high) if array else low if in_b else high
+    if den * (1.0 - rho) < 1.0 + rho:
+        return 0.5 * ((1.0 + rho) / den + (1.0 - rho)), (1.0 + rho) * snr / (den * den)
+    value = math.sqrt(_one_minus_rho2(rho) * 2.0 ** 600 / den) * 2.0 ** -300
+    return value, value * snr / den
 
 
-def _single_user_unit(rho: float, snr: float, v):
-    """Unit-variance single-user curve at v = 1 - rho_tilde^2, a float or
-    an ndarray; the one copy of the formula."""
+def _single_user_unit(rho: float, snr: float, v: float) -> float:
+    """Unit-variance single-user curve at v = 1 - rho_tilde^2; the one copy
+    of the formula."""
     return _one_minus_rho2(rho) / (1.0 + snr * v)
 
 
@@ -213,7 +209,7 @@ def sum_rate_curve(source: SourceParams, p: float, n0: float, rho_tilde: float) 
     """
     rt = _check_rho_tilde(rho_tilde)
     snr = _check_power_noise(p, n0)
-    return source.sigma2 * _sum_rate_unit(source.rho, snr, 1.0 + rt)
+    return source.sigma2 * _sum_rate_unit(source.rho, snr, 1.0 + rt)[0]
 
 
 def single_user_curve(source: SourceParams, p: float, n0: float, rho_tilde: float) -> float:
@@ -276,7 +272,7 @@ def minimax_lower_bound(source: SourceParams, p: float, n0: float) -> BoundResul
         if not lo < w < hi:
             w = 0.5 * (lo + hi)
         t, v = 2.0 - w, w * (2.0 - w)
-        upper, lower = _sum_rate_unit(rho, snr, t), _single_user_unit(rho, snr, v)
+        (upper, d_upper), lower = _sum_rate_unit(rho, snr, t), _single_user_unit(rho, snr, v)
         g = upper - lower
         if g < 0.0:
             lo = w
@@ -284,8 +280,6 @@ def minimax_lower_bound(source: SourceParams, p: float, n0: float) -> BoundResul
             hi = w
         else:
             break
-        den = 1.0 + 2.0 * snr * t
-        d_upper = (1.0 + rho) * snr / (den * den) if den * (1.0 - rho) < 1.0 + rho else upper * snr / den
         step = g / (d_upper + 2.0 * snr * (1.0 - w) * lower / (1.0 + snr * v))
         if abs(step) <= 2.0 * math.ulp(w) or 0.5 * (lo + hi) in (lo, hi):
             break

@@ -27,6 +27,12 @@ class SimulationError(RuntimeError):
     """A run produced an unusable statistic."""
 
 
+def _check_positive_finite(name: str, value: float) -> None:
+    """Raise ParameterError unless value is positive and finite."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ParameterError(f"{name} must be positive and finite")
+
+
 def _check_power_noise(p: float, n0: float) -> float:
     """Validate a common power p and noise variance n0 and return
     snr = p / n0, through which alone the bounds and the simulator depend
@@ -60,8 +66,7 @@ class SourceParams:
     rho: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma2) and self.sigma2 > 0.0):
-            raise ParameterError("variance must be positive and finite")
+        _check_positive_finite("variance", self.sigma2)
         if not (math.isfinite(self.rho) and 0.0 <= self.rho <= 1.0):
             raise ParameterError("rho out of range [0, 1]")
 
@@ -76,8 +81,7 @@ class ChannelParams:
 
     def __post_init__(self) -> None:
         for name, val in (("p1", self.p1), ("p2", self.p2), ("n0", self.n0)):
-            if not (math.isfinite(val) and val > 0.0):
-                raise ParameterError(f"{name} must be positive and finite")
+            _check_positive_finite(name, val)
 
 
 @dataclass(frozen=True)
@@ -92,8 +96,7 @@ class DistortionPair:
 
     def __post_init__(self) -> None:
         for name, val in (("d1", self.d1), ("d2", self.d2)):
-            if not (math.isfinite(val) and val > 0.0):
-                raise ParameterError(f"{name} must be positive and finite")
+            _check_positive_finite(name, val)
 
 
 def snr_threshold(source: SourceParams) -> float:

@@ -30,7 +30,7 @@ import enum
 import math
 import sys
 
-from .model import DistortionPair, ParameterError, SourceParams, _one_minus_rho2
+from .model import DistortionPair, ParameterError, SourceParams, _check_positive_finite, _one_minus_rho2
 
 
 class Region(enum.Enum):
@@ -116,8 +116,7 @@ def conditional_rd(source: SourceParams, d: float) -> float:
     Equals half the log of conditional variance over target, floored at
     zero once the target exceeds the conditional variance s2 * (1 - rho^2).
     """
-    if not (math.isfinite(d) and d > 0.0):
-        raise ParameterError("d must be positive and finite")
+    _check_positive_finite("d", d)
     u = d / source.sigma2
     cond_var = _one_minus_rho2(source.rho)
     if u >= cond_var:

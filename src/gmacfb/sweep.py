@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .bounds import below_snr_threshold, minimax_lower_bound, uncoded_distortion
-from .model import ParameterError, SourceParams, snr_threshold
+from .model import ParameterError, SourceParams, _check_positive_finite, snr_threshold
 
 COLUMNS = (
     "rho",
@@ -44,10 +44,8 @@ class SweepSpec:
             if not (math.isfinite(rho) and 0.0 <= rho < 1.0):
                 raise ParameterError("rho grid values must lie in [0, 1)")
         for snr in self.snr_grid:
-            if not (math.isfinite(snr) and snr > 0.0):
-                raise ParameterError("snr grid values must be positive and finite")
-        if not (math.isfinite(self.sigma2) and self.sigma2 > 0.0):
-            raise ParameterError("sigma2 must be positive and finite")
+            _check_positive_finite("snr grid values", snr)
+        _check_positive_finite("sigma2", self.sigma2)
 
 
 def sweep_rows(spec: SweepSpec) -> list[dict]:

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (
-    _single_user_unit,
-    _sum_rate_unit,
     check_feasibility,
     dstar_below_threshold,
     endpoint_snr_threshold,
@@ -35,7 +33,7 @@ from .bounds import (
     uncoded_distortion,
 )
 from .model import ChannelParams, DistortionPair, SourceParams, snr_threshold
-from .rate_distortion import _regions, conditional_rd, joint_rd, symmetric_joint_rd_inverse
+from .rate_distortion import _regions, conditional_rd, diagonal_branch_rate, joint_rd, symmetric_joint_rd_inverse
 from .simulate import SimConfig, _run_streams, simulate_uncoded
 
 MC_SEED_BASE = 7000
@@ -165,7 +163,10 @@ def monte_carlo_agreement(scale: Scale) -> CriterionResult:
 def endpoint_threshold(scale: Scale) -> CriterionResult:
     """Below the endpoint SNR the minimax must sit exactly at rho_tilde = 1;
     above it, at a genuine crossing that a brute-force grid minimax
-    reproduces to one grid step and 1e-6 in value."""
+    reproduces to one grid step and 1e-6 in value. The grid evaluates the
+    curves from the rate caps as written, not through the bounds kernels it
+    checks: the sum-rate cap by the diagonal's rate-form inverse, and the
+    per-user cap solved for the common distortion."""
     grid = np.linspace(0.0, 1.0, MINIMAX_POINTS)
     step = grid[1] - grid[0]
     problems = []
@@ -183,7 +184,11 @@ def endpoint_threshold(scale: Scale) -> CriterionResult:
                 sum_rate_curve(source, p, 1.0, res.rho_star)
                 - single_user_curve(source, p, 1.0, res.rho_star)
             )
-            values = np.maximum(_sum_rate_unit(rho, p, 1.0 + grid), _single_user_unit(rho, p, 1.0 - grid * grid))
+            rate = 0.5 * np.log2(1.0 + 2.0 * p * (1.0 + grid))
+            region_a = math.sqrt(1.0 - rho * rho) * np.exp2(-rate)
+            region_b = 0.5 * ((1.0 + rho) * np.exp2(-2.0 * rate) + (1.0 - rho))
+            sum_rate = np.where(rate >= diagonal_branch_rate(source), region_a, region_b)
+            values = np.maximum(sum_rate, (1.0 - rho * rho) / (1.0 + p * (1.0 - grid * grid)))
             idx = int(np.argmin(values))
             if res.rho_star >= 1.0:
                 problems.append(f"rho={rho} snr={p:.4g}: expected interior crossing")

@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import log_uniform
 
-from gmacfb import FeasibilityResult, cli, conditional_rd, joint_rd, simulate, verification
+from gmacfb import FeasibilityResult, bounds, cli, conditional_rd, joint_rd, simulate, verification
 from gmacfb.verification import SCALES, CriterionResult, CRITERIA, run_criteria
 
 FULL = SCALES["full"]
@@ -97,6 +97,26 @@ def test_endpoint_threshold_reports_a_misplaced_minimax(monkeypatch, active, cha
     assert not result.passed
     for problem in problems:
         assert problem in result.detail
+
+
+def test_endpoint_threshold_grid_does_not_reuse_the_sum_rate_kernel(monkeypatch):
+    # A 1e-5 error in region B of the kernel, patched wherever a module
+    # binds it, moves the minimax; a grid built on that kernel would move
+    # with it and stay green.
+    real = bounds._sum_rate_unit
+
+    def off_in_region_b(rho, snr, t):
+        value, slope = real(rho, snr, t)
+        if (1.0 + 2.0 * snr * t) * (1.0 - rho) < 1.0 + rho:
+            value *= 1.0 + 1e-5
+        return value, slope
+
+    for name, module in list(sys.modules.items()):
+        if (name == "gmacfb" or name.startswith("gmacfb.")) and getattr(module, "_sum_rate_unit", None) is real:
+            monkeypatch.setattr(module, "_sum_rate_unit", off_in_region_b)
+    result = verification.endpoint_threshold(SCALES["quick"])
+    assert not result.passed
+    assert "grid value off" in result.detail
 
 
 def test_criterion_5_feasibility_oracle():

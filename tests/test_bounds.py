@@ -1,3 +1,4 @@
+import decimal
 import math
 from decimal import Decimal
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from helpers import exact_minimax, log_uniform
+from helpers import exact_curves, exact_minimax, log_uniform
 
 from gmacfb import (
     BoundResult,
@@ -26,7 +27,7 @@ from gmacfb import (
     uncoded_distortion,
 )
 from gmacfb import verification
-from gmacfb.bounds import _single_user_unit, _sum_rate_unit
+from gmacfb.bounds import _sum_rate_unit
 from gmacfb.model import _MAX_SNR
 
 HALF = SourceParams(1.0, 0.5)
@@ -410,6 +411,10 @@ class TestMinimaxDomain:
     @given(**DOMAIN, rt=st.floats(0.0, 1.0))
     @example(rho=0.5, sigma2=1.0, n0=1.0, snr=0.6, rt=1.0)
     @example(rho=0.9999998257568038, sigma2=1.0, n0=1.0, snr=2886569.7126392233, rt=0.1289408739217216)
+    # den = 1 + 1.5 (1 + rt) runs from 2.5 to 4 and leaves region B at 3, rt = 1/3.
+    @example(rho=0.5, sigma2=1.0, n0=1.0, snr=0.75, rt=0.3)
+    @example(rho=0.5, sigma2=1.0, n0=1.0, snr=0.75, rt=1.0 / 3.0)
+    @example(rho=0.5, sigma2=1.0, n0=1.0, snr=0.75, rt=0.4)
     def test_sum_rate_curve_is_exact_at_every_rho_tilde(self, rho, sigma2, n0, snr, rt):
         # The curve is the diagonal's inverse at the sum-rate cap on
         # whichever branch the cap falls, not only at rho_star.
@@ -419,15 +424,18 @@ class TestMinimaxDomain:
         assert sum_rate_curve(src, p, n0, rt) == pytest.approx(exact, rel=1e-12)
 
     @settings(max_examples=300, deadline=None)
-    @given(rho=DOMAIN["rho"], snr=DOMAIN["snr"], rts=st.lists(st.floats(0.0, 1.0), max_size=20))
-    # den = 1 + 1.5 (1 + rt) runs from 2.5 to 4 and leaves region B at 3, rt = 1/3.
-    @example(rho=0.5, snr=0.75, rts=[0.3, 1.0 / 3.0, 0.4])
-    def test_kernels_on_arrays_match_scalar_kernels(self, rho, snr, rts):
-        rt = np.array([0.0, 1.0, *rts])
-        curve = _sum_rate_unit(rho, snr, 1.0 + rt)
-        assert curve.tolist() == [_sum_rate_unit(rho, snr, 1.0 + t) for t in rt.tolist()]
-        single = _single_user_unit(rho, snr, 1.0 - rt * rt)
-        assert single.tolist() == [_single_user_unit(rho, snr, 1.0 - t * t) for t in rt.tolist()]
+    @given(rho=DOMAIN["rho"], snr=DOMAIN["snr"], w=st.floats(0.0, 1.0))
+    @example(rho=0.5, snr=0.75, w=0.7)  # region B
+    @example(rho=0.5, snr=0.75, w=0.6)  # region A
+    def test_sum_rate_slope_is_the_exact_derivative_in_w(self, rho, snr, w):
+        # The minimax's Newton steps with this slope; a wrong one still
+        # converges by halving, so the value tests cannot see it.
+        t = 2.0 - w
+        with decimal.localcontext(decimal.Context(prec=60)):
+            # Differentiate at the w that the rounded t stands for.
+            w, h = 2 - Decimal(t), Decimal("1e-20")
+            slope = (exact_curves(rho, snr, w + h)[0] - exact_curves(rho, snr, w - h)[0]) / (2 * h)
+        assert _sum_rate_unit(rho, snr, t)[1] == pytest.approx(float(slope), rel=1e-12)
 
     @settings(max_examples=300, deadline=None)
     @given(rho=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
