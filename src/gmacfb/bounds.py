@@ -44,6 +44,9 @@ from .model import (
 )
 from .rate_distortion import conditional_rd, joint_rd
 
+__all__ = ["BoundResult", "FeasibilityResult", "below_snr_threshold", "check_feasibility", "dstar_below_threshold",
+           "endpoint_snr_threshold", "minimax_lower_bound", "single_user_curve", "sum_rate_curve", "uncoded_distortion"]
+
 # Absolute slack, in rho_tilde units, when deciding whether the feasible
 # interval is empty. Exactly-tight instances otherwise flip to infeasible
 # on the last rounding of the interval endpoints.

@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--full", dest="scale", action="store_const", const="full")
     verify.set_defaults(scale="quick")
 
-    # Declared last, so each usage line ends in [--json] as before.
+    # Declared last, so each usage line ends in [--json].
     for command in sub.choices.values():
         command.add_argument("--json", action="store_true", help="machine-readable output")
     return parser

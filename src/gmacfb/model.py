@@ -12,6 +12,9 @@ import math
 import sys
 from dataclasses import dataclass
 
+__all__ = ["DEFAULT_SEED", "ChannelParams", "DistortionPair", "ParameterError", "SimulationError", "SourceParams",
+           "snr_threshold"]
+
 # Largest p/n0 accepted: the curves evaluate up to 1 + 4 p/n0.
 _MAX_SNR = sys.float_info.max / 4.0
 

@@ -32,6 +32,9 @@ import sys
 
 from .model import DistortionPair, ParameterError, SourceParams, _check_positive_finite, _one_minus_rho2
 
+__all__ = ["Region", "classify_region", "conditional_rd", "diagonal_branch_rate", "joint_rd",
+           "symmetric_joint_rd_inverse"]
+
 
 class Region(enum.Enum):
     """Which branch of the joint rate-distortion function applies."""

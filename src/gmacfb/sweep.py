@@ -17,6 +17,8 @@ from pathlib import Path
 from .bounds import below_snr_threshold, minimax_lower_bound, uncoded_distortion
 from .model import ParameterError, SourceParams, _check_positive_finite, snr_threshold
 
+__all__ = ["COLUMNS", "SweepSpec", "format_csv", "sweep_rows", "write_sweep_csv"]
+
 COLUMNS = (
     "rho",
     "snr",

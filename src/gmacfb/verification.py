@@ -177,8 +177,8 @@ def endpoint_threshold(scale: Scale) -> CriterionResult:
             res = minimax_lower_bound(source, t_end * frac, 1.0)
             if res.rho_star != 1.0 or res.active != "endpoint":
                 problems.append(f"rho={rho} snr={t_end * frac:.4g}: expected endpoint")
-        for frac in (1.1, 2.0):
-            p = t_end * frac
+        # Crossings in region B of the sum-rate curve, then one in region A.
+        for p in (t_end * 1.1, t_end * 2.0, snr_threshold(source) * 1.5):
             res = minimax_lower_bound(source, p, 1.0)
             gap = abs(
                 sum_rate_curve(source, p, 1.0, res.rho_star)

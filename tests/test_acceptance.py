@@ -99,21 +99,34 @@ def test_endpoint_threshold_reports_a_misplaced_minimax(monkeypatch, active, cha
         assert problem in result.detail
 
 
-def test_endpoint_threshold_grid_does_not_reuse_the_sum_rate_kernel(monkeypatch):
-    # A 1e-5 error in region B of the kernel, patched wherever a module
-    # binds it, moves the minimax; a grid built on that kernel would move
-    # with it and stay green.
+def _patch_sum_rate_kernel(monkeypatch, region_b):
+    """Put a 1e-5 relative error into one region of the sum-rate kernel
+    (B if region_b, else A), wherever a module binds it."""
     real = bounds._sum_rate_unit
 
-    def off_in_region_b(rho, snr, t):
+    def off_in_one_region(rho, snr, t):
         value, slope = real(rho, snr, t)
-        if (1.0 + 2.0 * snr * t) * (1.0 - rho) < 1.0 + rho:
+        if ((1.0 + 2.0 * snr * t) * (1.0 - rho) < 1.0 + rho) == region_b:
             value *= 1.0 + 1e-5
         return value, slope
 
     for name, module in list(sys.modules.items()):
         if (name == "gmacfb" or name.startswith("gmacfb.")) and getattr(module, "_sum_rate_unit", None) is real:
-            monkeypatch.setattr(module, "_sum_rate_unit", off_in_region_b)
+            monkeypatch.setattr(module, "_sum_rate_unit", off_in_one_region)
+
+
+def test_endpoint_threshold_grid_does_not_reuse_the_sum_rate_kernel(monkeypatch):
+    # The error moves the minimax; a grid built on that kernel would move
+    # with it and stay green.
+    _patch_sum_rate_kernel(monkeypatch, region_b=True)
+    result = verification.endpoint_threshold(SCALES["quick"])
+    assert not result.passed
+    assert "grid value off" in result.detail
+
+
+def test_endpoint_threshold_sees_a_region_a_error_in_the_sum_rate_kernel(monkeypatch):
+    # Only the crossings above the uncoded-optimality threshold lie in A.
+    _patch_sum_rate_kernel(monkeypatch, region_b=False)
     result = verification.endpoint_threshold(SCALES["quick"])
     assert not result.passed
     assert "grid value off" in result.detail

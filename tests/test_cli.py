@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from helpers import log_uniform, run_inprocess
 
 import gmacfb
-from gmacfb import model, simulate, sweep
+from gmacfb import bounds, model, rate_distortion, simulate, sweep
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -457,14 +458,21 @@ class TestVerifyCommand:
 ANY = st.floats(-1074.0, 1024.0, exclude_max=True).map(lambda e: 2.0 ** e)
 
 
+def _reject_constant(name):
+    raise AssertionError(f"{name} in --json output")
+
+
 class TestNoTraceback:
     """No finite input makes the CLI raise: every run ends in exit 0, 1 or 2,
-    and no reported number is nan."""
+    and no reported number is nan. `bound` and `sweep` print strict JSON,
+    with no Infinity either."""
 
     @staticmethod
-    def exit_code(args):
+    def exit_code(args, strict=False):
         code, out, _ = run_inprocess([*args, "--json"])
         assert "NaN" not in out
+        if strict and code == 0:
+            json.loads(out, parse_constant=_reject_constant)
         return code
 
     @settings(max_examples=400, deadline=None)
@@ -474,7 +482,7 @@ class TestNoTraceback:
         code = self.exit_code([
             "bound", "--sigma2", sigma2, "--rho", rho, "--n", n,
             "--p1", p1, "--p2", p2, "--d1", d1, "--d2", d2,
-        ])
+        ], strict=True)
         assert code in (0, 1, 2)
 
     @settings(max_examples=150, deadline=None)
@@ -495,7 +503,7 @@ class TestNoTraceback:
     @settings(max_examples=100, deadline=None)
     @given(sigma2=ANY, rho=ANY, n=ANY, p=ANY)
     def test_bound_symmetric_case(self, sigma2, rho, n, p):
-        code = self.exit_code(["bound", "--sigma2", sigma2, "--rho", rho, "--n", n, "--p", p])
+        code = self.exit_code(["bound", "--sigma2", sigma2, "--rho", rho, "--n", n, "--p", p], strict=True)
         assert code in (0, 2)
 
     @settings(max_examples=60, deadline=None)
@@ -504,7 +512,7 @@ class TestNoTraceback:
         code = self.exit_code([
             "sweep", "--sigma2", sigma2, "--rho-grid", ",".join(map(repr, rhos)),
             "--snr-grid", ",".join(map(repr, snrs)), "--out", os.devnull,
-        ])
+        ], strict=True)
         assert code in (0, 2)
 
 
@@ -598,11 +606,19 @@ def test_closed_form_commands_never_load_numpy():
 
 class TestPackageSurface:
     def test_every_public_name_is_its_defining_modules_object(self):
-        constants = {"COLUMNS": sweep, "DEFAULT_SEED": model}
-        for name in gmacfb.__all__:
-            value = getattr(gmacfb, name)
-            owner = constants.get(name) or sys.modules[value.__module__]
-            assert getattr(owner, name) is value, name
+        listed = []
+        for module in (bounds, model, rate_distortion, sweep):
+            tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+            defined = [node.name for node in tree.body if isinstance(node, (ast.ClassDef, ast.FunctionDef))]
+            defined += [t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets
+                        if isinstance(t, ast.Name)]
+            assert defined.count("__all__") == 1, module.__name__
+            for name in module.__all__:
+                assert name in defined, f"{module.__name__}.{name} is not defined there"
+                assert getattr(gmacfb, name) is getattr(module, name), name
+            listed += module.__all__
+        assert gmacfb.__all__ == sorted([*listed, *gmacfb._SIMULATE_NAMES])
+        assert len(set(gmacfb.__all__)) == len(gmacfb.__all__)
         assert gmacfb.SimulationError is simulate.SimulationError is model.SimulationError
         assert gmacfb.DEFAULT_SEED is simulate.DEFAULT_SEED == 123456789
         assert gmacfb.simulate_uncoded is simulate.simulate_uncoded
