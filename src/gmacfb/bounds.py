@@ -39,6 +39,7 @@ from .model import (
     ParameterError,
     SourceParams,
     _check_power_noise,
+    _log2_ratio,
     _one_minus_rho2,
     snr_threshold,
 )
@@ -113,13 +114,6 @@ def _pow4m1(r: float) -> float:
         return math.expm1(r * _LN4)
     except OverflowError:
         return math.inf
-
-
-def _log2_ratio(p: float, n0: float) -> float:
-    """log2(p / n0), finite for any positive finite p and n0, and unchanged
-    when both are scaled by one power of two, subnormals included."""
-    (mp, ep), (mn, en) = math.frexp(p), math.frexp(n0)
-    return math.log2(mp / mn) + (ep - en)
 
 
 def check_feasibility(source: SourceParams, channel: ChannelParams, d: DistortionPair) -> FeasibilityResult:

@@ -51,6 +51,13 @@ def _check_power_noise(p: float, n0: float) -> float:
     return snr
 
 
+def _log2_ratio(a: float, b: float) -> float:
+    """log2(a / b), finite for any positive finite a and b, and unchanged
+    when both are scaled by one power of two, subnormals included."""
+    (ma, ea), (mb, eb) = math.frexp(a), math.frexp(b)
+    return math.log2(ma / mb) + (ea - eb)
+
+
 def _one_minus_rho2(rho: float) -> float:
     """1 - rho^2 as (1 - rho)(1 + rho): accurate to a few ulps as rho -> 1,
     where 1 - rho * rho keeps no correct digit."""

@@ -30,7 +30,7 @@ import enum
 import math
 import sys
 
-from .model import DistortionPair, ParameterError, SourceParams, _check_positive_finite, _one_minus_rho2
+from .model import DistortionPair, ParameterError, SourceParams, _check_positive_finite, _log2_ratio, _one_minus_rho2
 
 __all__ = ["Region", "classify_region", "conditional_rd", "diagonal_branch_rate", "joint_rd",
            "symmetric_joint_rd_inverse"]
@@ -45,9 +45,16 @@ class Region(enum.Enum):
 
 
 def _unit_targets(source: SourceParams, d: DistortionPair) -> tuple[float, float]:
-    """(d1, d2) / sigma2, clamped at 1. A ratio that underflows to 0 stands
-    for a rate beyond any float."""
+    """(d1, d2) / sigma2, clamped at 1."""
     return min(d.d1 / source.sigma2, 1.0), min(d.d2 / source.sigma2, 1.0)
+
+
+def _log2_inverse(u: float, d: float, sigma2: float) -> float:
+    """log2(1 / u) for the unit target u = min(d / sigma2, 1). Below the
+    normal range u has lost digits or underflowed, and 1 / u may overflow,
+    so the log is then taken from d and sigma2 by frexp: finite for any
+    positive finite inputs."""
+    return math.log2(1.0 / u) if u >= sys.float_info.min else -_log2_ratio(d, sigma2)
 
 
 def _regions(rho: float, d1, d2):
@@ -80,24 +87,23 @@ def classify_region(source: SourceParams, d: DistortionPair) -> Region:
 
 def joint_rd(source: SourceParams, d: DistortionPair) -> float:
     """Joint rate-distortion function R(d1, d2) in bits per source pair."""
-    rho = source.rho
+    rho, s2 = source.rho, source.sigma2
     d1, d2 = _unit_targets(source, d)
-    if min(d1, d2) == 0.0:
-        return math.inf
     cond_var = _one_minus_rho2(rho)
     in_a, in_c = _regions(rho, d1, d2)
-    if in_a:
-        prod = d1 * d2
-        if prod < sys.float_info.min:
-            # The product underflows; sum the logs instead.
-            return 0.5 * (math.log2(1.0 / d1) + math.log2(1.0 / d2) + math.log2(cond_var))
-        return 0.5 * math.log2(cond_var / prod)
     if in_c or rho >= 1.0:
         # At rho = 1 the components are identical: describing the one with
         # the tighter target covers the other. The region-B formula
         # degenerates to 0/0 on the diagonal there, and this is its
-        # continuity limit. Region A is empty at rho = 1.
-        return 0.5 * math.log2(1.0 / min(d1, d2))
+        # continuity limit. Region A is empty at rho = 1 (in floats, it
+        # holds only both targets underflowed to 0).
+        return 0.5 * _log2_inverse(*min((d1, d.d1), (d2, d.d2)), s2)
+    if in_a:
+        prod = d1 * d2
+        if prod < sys.float_info.min:
+            # The product underflows; sum the logs instead.
+            return 0.5 * (_log2_inverse(d1, d.d1, s2) + _log2_inverse(d2, d.d2, s2) + math.log2(cond_var))
+        return 0.5 * math.log2(cond_var / prod)
     # Region B. den = d1 d2 - gap^2 with gap = rho - q, q = sqrt((1 - d1)(1 - d2)).
     # Written so, it cancels to nothing as rho -> 1. As the product
     # (a - gap)(a + gap), a = sqrt(d1 d2), each factor is formed from
@@ -124,8 +130,10 @@ def conditional_rd(source: SourceParams, d: float) -> float:
     cond_var = _one_minus_rho2(source.rho)
     if u >= cond_var:
         return 0.0
-    # A ratio that underflowed to 0 stands for a rate beyond any float.
-    return 0.5 * math.log2(cond_var / u) if u > 0.0 else math.inf
+    if u < sys.float_info.min:
+        # Below the normal range; see _log2_inverse.
+        return 0.5 * (math.log2(cond_var) + _log2_inverse(u, d, source.sigma2))
+    return 0.5 * math.log2(cond_var / u)
 
 
 def diagonal_branch_rate(source: SourceParams) -> float:

@@ -8,7 +8,10 @@ or "full" scale and reports one pass/fail per criterion; the CLI `verify`
 command and the acceptance test suite both drive this module. The
 largest part of a run is the feasibility oracle's scan, which runs on two
 streams and walks each instance in from both ends, block by block, in
-one scratch per instance.
+one scratch per instance. It decides each rate condition by comparing the
+received power with the power the rate needs, and takes the written log
+form only inside a band of 1e-9 relative width around that need, where
+the comparison could differ from it.
 """
 
 from __future__ import annotations
@@ -205,33 +208,65 @@ def endpoint_threshold(scale: Scale) -> CriterionResult:
 # depend on it; it sizes the 1.2 MB scratch that a span's blocks reuse.
 _SCAN_BLOCK = 1 << 16
 
+# Half-width of the band around each rate's power need, relative to
+# n0 + need, inside which the written log form decides a point.
+_BAND_RTOL = 1e-9
 
-def _feasible_mask(block: np.ndarray, rates: tuple[float, ...], scratch: tuple[np.ndarray, ...]) -> np.ndarray:
+
+def _power_band(r: float, n0: float) -> tuple[float, float]:
+    """Band [lo, hi) of received power x around need = n0 (4^r - 1), the
+    power at which the cap 1/2 log2(1 + x / n0) reaches the rate r.
+
+    Outside the band the written test r <= 0.5 * log2(1.0 + x / n0) says
+    the same as x >= need. At x >= hi, 1 + x / n0 >= 4^r (1 + 1e-9), so
+    log2(1 + x / n0) exceeds 2r by at least log2(1 + 1e-9) = 1.4e-9, less
+    the rounding of need and hi (a few ulps of n0 + need). The float test
+    loses far less: two roundings in forming 1 + x / n0 (5e-16 in its
+    log2), and a few ulps of log2's value, which is at most 1,025 while
+    4^r is finite (about 1e-12). So it holds there, and by the same count
+    it fails at x < lo. Where 4^r or the band overflows, the band is the
+    whole line and the written form decides every point.
+    """
+    try:
+        need = n0 * (4.0 ** r - 1.0)
+    except OverflowError:
+        need = math.inf
+    margin = _BAND_RTOL * (n0 + need)
+    return (need - margin, need + margin) if need + margin < math.inf else (-math.inf, math.inf)
+
+
+def _feasible_mask(block: np.ndarray, rates: tuple[float, ...], bands: tuple[tuple[float, float], ...],
+                   scratch: tuple[np.ndarray, ...]) -> np.ndarray:
     """Mask of the points rho_tilde of block where the three rate
     conditions hold as written: the sum rate, user 1, then user 2, each in
     place in scratch (two float64 and two bool arrays at least as long as
-    block; the mask is a view of it), up to the first that leaves none."""
+    block; the mask is a view of it), up to the first that leaves none.
+    Each cap holds where the received power x reaches the top of its rate's
+    band and fails below the band's foot (`_power_band`); the written log
+    form decides the points in between, which few blocks have."""
     p1, p2, n0, r_joint, r1, r2 = rates
+    band_joint, band1, band2 = bands
     x, priv, holds, cond = (a[:len(block)] for a in scratch)
 
-    def cap_holds(r: float, out: np.ndarray) -> np.ndarray:
-        # r <= 0.5 * log2(1.0 + x / n0), with x the received power
-        np.divide(x, n0, out=x)
-        np.add(1.0, x, out=x)
-        np.log2(x, out=x)
-        np.multiply(0.5, x, out=x)
-        return np.less_equal(r, x, out=out)
+    def cap_holds(r: float, band: tuple[float, float], out: np.ndarray) -> np.ndarray:
+        lo, hi = band
+        at_foot = np.count_nonzero(np.greater_equal(x, lo, out=out))
+        if np.count_nonzero(np.greater_equal(x, hi, out=out)) != at_foot:
+            inside = np.flatnonzero((x >= lo) & (x < hi))
+            # r <= 0.5 * log2(1.0 + x / n0), with x the received power
+            out[inside] = r <= 0.5 * np.log2(1.0 + x[inside] / n0)
+        return out
 
     np.multiply(2.0, block, out=x)  # p1 + p2 + 2.0 * rt * sqrt(p1 p2)
     np.multiply(x, math.sqrt(p1 * p2), out=x)
     np.add(p1 + p2, x, out=x)
-    if not cap_holds(r_joint, holds).any():
+    if not cap_holds(r_joint, band_joint, holds).any():
         return holds
     np.multiply(block, block, out=priv)  # 1.0 - rt * rt
     np.subtract(1.0, priv, out=priv)
-    for p, r in ((p1, r1), (p2, r2)):
+    for p, r, band in ((p1, r1, band1), (p2, r2, band2)):
         np.multiply(p, priv, out=x)
-        holds &= cap_holds(r, cond)
+        holds &= cap_holds(r, band, cond)
         if not holds.any():
             break
     return holds
@@ -243,10 +278,11 @@ def _feasible_span(grid: np.ndarray, rates: tuple[float, ...]) -> tuple[int, int
     first feasible one, then in from the back to the last."""
     starts = range(0, len(grid), _SCAN_BLOCK)
     scratch = (*np.empty((2, _SCAN_BLOCK)), *np.empty((2, _SCAN_BLOCK), bool))
+    bands = tuple(_power_band(r, rates[2]) for r in rates[3:])
 
     def walk(order, from_back: bool) -> int:
         for start in order:
-            holds = _feasible_mask(grid[start:start + _SCAN_BLOCK], rates, scratch)
+            holds = _feasible_mask(grid[start:start + _SCAN_BLOCK], rates, bands, scratch)
             end = len(holds) - 1 - holds[::-1].argmax() if from_back else holds.argmax()
             if holds[end]:
                 return start + int(end)
@@ -336,34 +372,33 @@ def _written_form_predicates(rho: float, d1: np.ndarray, d2: np.ndarray, eps: fl
     cva = 1.0 - rho * rho
     with np.errstate(divide="ignore", invalid="ignore"):
         bound_a_12 = (cva - d1) / (1.0 - d1)
-        bound_a_21 = (cva - d2) / (1.0 - d2)
     a_loose = (d1 <= cva + eps) & (d2 <= bound_a_12 + eps)
     a_strict = (d1 <= cva - eps) & (d2 <= bound_a_12 - eps)
     hi, lo_ = np.maximum(d1, d2), np.minimum(d1, d2)
     c_bound = cva + rho * rho * lo_
     c_loose = hi > c_bound - eps
     c_strict = hi > c_bound + eps
-    b_loose = (
-        ((d2 >= bound_a_12 - eps) | (d1 > cva - eps))
-        & ((d1 >= bound_a_21 - eps) | (d2 > cva - eps))
-        & (d2 <= cva + rho * rho * d1 + eps)
-        & (d1 <= cva + rho * rho * d2 + eps)
-    )
-    return a_loose, a_strict, b_loose, c_loose, c_strict
+    return a_loose, a_strict, c_loose, c_strict
 
 
 def _partition_problems(rho: float, d1: np.ndarray, d2: np.ndarray) -> list[str]:
     """`_regions` against the written-form predicates on unit-variance grid
     points: each check that fails, named at its first failing point."""
-    a_loose, a_strict, b_loose, c_loose, c_strict = _written_form_predicates(rho, d1, d2, eps=1e-9)
+    a_loose, a_strict, c_loose, c_strict = _written_form_predicates(rho, d1, d2, eps=1e-9)
     in_a, in_c = _regions(rho, d1, d2)
     # A point within eps of a boundary may take either side. First match:
-    # A only, A or B, C only, B or C, else B only.
+    # A only, A or B, C only, B or C, else B only. So a point labelled B
+    # passes only outside strict A and strict C, and that is the written
+    # region B loosened by eps. Outside strict C, both C inequalities
+    # (d2 <= 1 - rho^2 + rho^2 d1 and its mirror) hold within eps.
+    # Outside strict A, A's one inequality d1 + d2 - d1 d2 <= 1 - rho^2,
+    # solved for d2, does not hold with eps to spare; solved for d1, as B's
+    # written form also states it, it is the same inequality. So no
+    # separate check of B is needed.
     labelled = np.select([a_strict, a_loose, c_strict, c_loose], [in_a, ~in_c, in_c, ~in_a], ~(in_a | in_c))
     checks = {
         "regions A and C overlap": a_strict & c_strict,
         "region outside the written regions": ~labelled,
-        "B outside written region": ~(in_a | in_c | b_loose),
     }
     firsts = ((name, i) for name, bad in checks.items() for i in np.flatnonzero(bad)[:1])
     return [f"rho={rho} d=({d1[i]:.4f},{d2[i]:.4f}): {name}" for name, i in firsts]

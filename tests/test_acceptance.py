@@ -20,6 +20,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -254,6 +255,56 @@ def test_rate_scan_property(p1, p2, n0, at):
         patch.setattr(verification, "_SCAN_BLOCK", 257)
         span = verification._feasible_span(_PROPERTY_GRID, rates)
     assert span == ((hits[0], hits[-1]) if len(hits) else (-1, -1))
+
+
+@pytest.mark.parametrize("scale", [1.0, 4.0 ** 10])
+def test_rate_scan_tie_decided_by_the_written_form(monkeypatch, scale):
+    # The sum rate is the written sum cap at index 8684, and the user rates
+    # are 0. There the received power rounds to 55.261751599058016, an ulp
+    # below the power need 55.26175159905802: a power test alone rejects
+    # the point that the written form accepts. Only the band sends it to
+    # the written form. A power of four scales p1, p2, n0, the received
+    # power and the need exactly, and the band with them.
+    p1, p2, n0 = (v * scale for v in (5.462735454767605, 28.230718763147177, 59.04204526508543))
+    sum_cap, _, _ = _written_caps(_PROPERTY_GRID, p1, p2, n0)
+    rates = (p1, p2, n0, sum_cap[8684], 0.0, 0.0)
+    assert verification._feasible_span(_PROPERTY_GRID, rates) == (8684, 10_000)
+    monkeypatch.setattr(verification, "_BAND_RTOL", 0.0)
+    assert verification._feasible_span(_PROPERTY_GRID, rates) == (8685, 10_000)
+
+
+def test_rate_scan_edge_rates():
+    # A user rate of 0 holds everywhere, at rho_tilde = 1 too, where the
+    # private power is 0. Rates of 600 bits and beyond any float hold
+    # nowhere, and 4^r overflowing raises no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert verification._feasible_span(_PROPERTY_GRID, (1.0, 2.0, 0.5, 0.0, 0.0, 0.0)) == (0, 10_000)
+        for r in (600.0, math.inf):
+            for at in range(3):
+                rates = [0.0, 0.0, 0.0]
+                rates[at] = r
+                assert verification._feasible_span(_PROPERTY_GRID, (1.0, 2.0, 0.5, *rates)) == (-1, -1)
+    # Where x / n0 overflows, the written sum cap is infinite and holds
+    # for any rate.
+    with np.errstate(over="ignore"):
+        assert verification._feasible_span(_PROPERTY_GRID, (1.0, 1.0, 1e-308, 600.0, 0.0, 0.0)) == (0, 10_000)
+
+
+def test_feasibility_oracle_takes_the_log_of_few_points(monkeypatch):
+    # The power band decides almost every grid point; only points at a cap
+    # reach the written log form, which would take all 9,948,576 points
+    # that the quick scan visits.
+    elements = []
+    real = np.log2
+
+    def counted(x, *args, **kwargs):
+        elements.append(np.size(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "log2", counted)
+    assert verification.feasibility_oracle(SCALES["quick"]).passed
+    assert sum(elements) < 1_000
 
 
 def test_feasibility_oracle_independent_of_stream_count(monkeypatch):

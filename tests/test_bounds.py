@@ -65,7 +65,8 @@ class TestCheckFeasibility:
         assert not res.feasible
 
     def test_rate_beyond_any_float_is_infeasible(self):
-        # d / sigma2 underflows to 0, so every rate is infinite.
+        # d / sigma2 underflows to 0; each rate, about 1,000 bits or more,
+        # is finite and far above its cap.
         src = SourceParams(1e300, 0.5)
         res = check_feasibility(src, ChannelParams(1.0, 1.0, 1.0), DistortionPair(1e-300, 1e-300))
         assert res == FeasibilityResult(False, None, None)

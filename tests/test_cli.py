@@ -166,6 +166,18 @@ class TestBound:
         assert code == 0
         assert json.loads(out)["rho_interval"] == [pytest.approx(lo, abs=1e-9), 1.0]
 
+    def test_targets_below_the_normal_range_are_feasible(self):
+        # d / sigma2 = 1e-309 is subnormal. At rho_tilde = 0 the joint rate
+        # (1,026.3 bits) fits under the sum cap (1,049.5 bits), and each
+        # conditional rate (513.0 bits) under its user's cap, which falls
+        # below it only within 2^-1072 of rho_tilde = 1.
+        code, out, _ = run_inprocess([
+            "bound", *SOURCE, "--n", "5e-324", "--p1", "1.7e308", "--p2", "1.7e308",
+            "--d1", "1e-309", "--d2", "1e-309", "--json",
+        ])
+        assert code == 0
+        assert json.loads(out) == {"feasible": True, "rho_interval": [0.0, 1.0], "witness": 0.5}
+
     def test_huge_variance_feasibility_is_finite(self):
         args = ["bound", "--rho", "0.5", "--n", "1", "--p1", "1", "--p2", "1", "--json"]
         code, out, _ = run_inprocess(args + ["--sigma2", "1e200", "--d1", "5e199", "--d2", "5e199"])
@@ -464,8 +476,8 @@ def _reject_constant(name):
 
 class TestNoTraceback:
     """No finite input makes the CLI raise: every run ends in exit 0, 1 or 2,
-    and no reported number is nan. `bound` and `sweep` print strict JSON,
-    with no Infinity either."""
+    and no reported number is nan. `rd`, `bound` and `sweep` print strict
+    JSON, with no Infinity either."""
 
     @staticmethod
     def exit_code(args, strict=False):
@@ -496,8 +508,9 @@ class TestNoTraceback:
 
     @settings(max_examples=100, deadline=None)
     @given(sigma2=ANY, rho=ANY, d1=ANY, d2=ANY)
+    @example(sigma2=1.0, rho=0.5, d1=1e-309, d2=1e-309)  # d / sigma2 subnormal
     def test_rd(self, sigma2, rho, d1, d2):
-        code = self.exit_code(["rd", "--sigma2", sigma2, "--rho", rho, "--d1", d1, "--d2", d2])
+        code = self.exit_code(["rd", "--sigma2", sigma2, "--rho", rho, "--d1", d1, "--d2", d2], strict=True)
         assert code in (0, 2)
 
     @settings(max_examples=100, deadline=None)

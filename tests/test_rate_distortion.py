@@ -141,12 +141,15 @@ class TestJointRd:
         assert joint_rd(HALF, DistortionPair(1e-150, 1e-150)) == pytest.approx(
             log_sum(1e-150, 1e-150), rel=1e-12)
 
-    def test_underflowing_ratio_is_an_unbounded_rate(self):
-        # d / sigma2 = 1e-330 underflows to zero: the rate is beyond any
-        # float and reads +inf, not a ZeroDivisionError.
+    def test_underflowing_ratio_keeps_a_finite_rate(self):
+        # d / sigma2 = 1e-330 underflows to zero; the rate is taken from d
+        # and sigma2 by frexp and stays finite: in region A, and for one
+        # component.
         huge = SourceParams(1e30, 0.5)
-        assert joint_rd(huge, DistortionPair(1e-300, 1e-300)) == math.inf
-        assert conditional_rd(huge, 1e-300) == math.inf
+        bits = 330 * math.log2(10.0)
+        assert joint_rd(huge, DistortionPair(1e-300, 1e-300)) == pytest.approx(
+            0.5 * math.log2(0.75) + bits, rel=1e-14)
+        assert conditional_rd(huge, 1e-300) == pytest.approx(0.5 * (math.log2(0.75) + bits), rel=1e-14)
 
     def test_scale_invariance(self):
         big = SourceParams(2.0, 0.5)
@@ -194,6 +197,43 @@ def _det_max_rate(s2, rho, d1, d2, grid=600):
     theta = np.clip(0.0, rho * s2 - u, rho * s2 + u)
     best = float((a * b - theta * theta).max())
     return 0.5 * math.log2(s2 * s2 * (1.0 - rho * rho) / best)
+
+
+def _exact_rates(rho: float, sigma2: float, d1: float, d2: float) -> tuple[Decimal, Decimal, Decimal]:
+    """(joint, conditional 1, conditional 2) rates at the targets d / sigma2,
+    to 60 digits, from the exact region test and branch formulas."""
+    with decimal.localcontext(decimal.Context(prec=60)):
+        rho, ln2 = Decimal(rho), Decimal(2).ln()
+        u1, u2 = (min(Decimal(d) / Decimal(sigma2), Decimal(1)) for d in (d1, d2))
+        cv = (1 - rho) * (1 + rho)
+        lo_, hi = min(u1, u2), max(u1, u2)
+        if rho == 1 or hi > cv + rho * rho * lo_:
+            joint = (1 / lo_).ln() / ln2 / 2
+        elif u1 + u2 - u1 * u2 <= cv:
+            joint = (cv / (u1 * u2)).ln() / ln2 / 2
+        else:
+            gap = rho - ((1 - u1) * (1 - u2)).sqrt()
+            joint = (cv / (u1 * u2 - gap * gap)).ln() / ln2 / 2
+        cond = ((cv / u).ln() / ln2 / 2 if u < cv else Decimal(0) for u in (u1, u2))
+        return (joint, *cond)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rho=st.floats(0.0, 1.0), s=st.floats(-50.0, 1000.0), e1=st.floats(-1100.0, -1000.0),
+       e2=st.floats(-1100.0, 0.0), swap=st.booleans())
+@example(rho=0.5, s=0.0, e1=-1026.0, e2=-1026.0, swap=False)
+def test_rates_below_the_normal_range_match_a_decimal_reference(rho, s, e1, e2, swap):
+    # One unit target from 2^-1100 to 2^-1000, the other anywhere in
+    # (2^-1100, 1]; each d is a positive double, subnormals included. The
+    # rates are finite and within 1e-15 of the exact ones, relative above
+    # one bit.
+    sigma2 = 2.0 ** s
+    d1, d2 = (max(2.0 ** (s + e), 5e-324) for e in ((e2, e1) if swap else (e1, e2)))
+    source = SourceParams(sigma2, rho)
+    got = (joint_rd(source, DistortionPair(d1, d2)), conditional_rd(source, d1), conditional_rd(source, d2))
+    for value, exact in zip(got, _exact_rates(rho, sigma2, d1, d2)):
+        assert math.isfinite(value)
+        assert abs(Decimal(value) - exact) <= Decimal(1e-15) * max(exact, Decimal(1))
 
 
 def test_joint_rd_matches_determinant_maximization():
