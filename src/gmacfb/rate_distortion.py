@@ -81,6 +81,13 @@ def classify_region(source: SourceParams, d: DistortionPair) -> Region:
     its lower boundary, B takes the rest). The branch formulas agree on the
     boundaries, so the tie-break never changes a rate value.
     """
+    if source.rho >= 1.0:
+        # Region A is empty at rho = 1, yet its test holds in floats where
+        # both unit targets underflow to 0. So decide from the targets as
+        # given, clamped at sigma2: C where they differ, B where they are
+        # equal, as joint_rd's rho = 1 branch picks the tighter one.
+        s2 = source.sigma2
+        return Region.B if min(d.d1, s2) == min(d.d2, s2) else Region.C
     in_a, in_c = _regions(source.rho, *_unit_targets(source, d))
     return Region.A if in_a else Region.C if in_c else Region.B
 

@@ -6,16 +6,14 @@ grid scans, Monte Carlo with statistical tolerances) and compares them to
 the library's answers. `run_criteria` executes all of them at "quick"
 or "full" scale and reports one pass/fail per criterion; the CLI `verify`
 command and the acceptance test suite both drive this module. The
-largest part of a run is the feasibility oracle's scan, which runs on two
-streams and walks each instance in from both ends, block by block, in
-one scratch per instance. It decides each rate condition by comparing the
-received power with the power the rate needs, and takes the written log
-form only inside a band of 1e-9 relative width around that need, where
-the comparison could differ from it.
+feasibility oracle finds each instance's span of feasible grid points by
+two bisections that evaluate the rate conditions as written: the sum-rate
+cap rises and the user caps fall along the grid.
 """
 
 from __future__ import annotations
 
+import bisect
 import io
 import math
 import os
@@ -37,7 +35,7 @@ from .bounds import (
 )
 from .model import ChannelParams, DistortionPair, SourceParams, snr_threshold
 from .rate_distortion import _regions, conditional_rd, diagonal_branch_rate, joint_rd, symmetric_joint_rd_inverse
-from .simulate import SimConfig, _run_streams, simulate_uncoded
+from .simulate import SimConfig, simulate_uncoded
 
 MC_SEED_BASE = 7000
 RHO_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
@@ -204,94 +202,33 @@ def endpoint_threshold(scale: Scale) -> CriterionResult:
     return _verdict("endpoint-threshold", problems, "all endpoint/crossing placements verified against grid minimax")
 
 
-# Grid points per block of the rate scan. Fixed, so the spans never
-# depend on it; it sizes the 1.2 MB scratch that a span's blocks reuse.
-_SCAN_BLOCK = 1 << 16
-
-# Half-width of the band around each rate's power need, relative to
-# n0 + need, inside which the written log form decides a point.
-_BAND_RTOL = 1e-9
-
-
-def _power_band(r: float, n0: float) -> tuple[float, float]:
-    """Band [lo, hi) of received power x around need = n0 (4^r - 1), the
-    power at which the cap 1/2 log2(1 + x / n0) reaches the rate r.
-
-    Outside the band the written test r <= 0.5 * log2(1.0 + x / n0) says
-    the same as x >= need. At x >= hi, 1 + x / n0 >= 4^r (1 + 1e-9), so
-    log2(1 + x / n0) exceeds 2r by at least log2(1 + 1e-9) = 1.4e-9, less
-    the rounding of need and hi (a few ulps of n0 + need). The float test
-    loses far less: two roundings in forming 1 + x / n0 (5e-16 in its
-    log2), and a few ulps of log2's value, which is at most 1,025 while
-    4^r is finite (about 1e-12). So it holds there, and by the same count
-    it fails at x < lo. Where 4^r or the band overflows, the band is the
-    whole line and the written form decides every point.
-    """
-    try:
-        need = n0 * (4.0 ** r - 1.0)
-    except OverflowError:
-        need = math.inf
-    margin = _BAND_RTOL * (n0 + need)
-    return (need - margin, need + margin) if need + margin < math.inf else (-math.inf, math.inf)
-
-
-def _feasible_mask(block: np.ndarray, rates: tuple[float, ...], bands: tuple[tuple[float, float], ...],
-                   scratch: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Mask of the points rho_tilde of block where the three rate
-    conditions hold as written: the sum rate, user 1, then user 2, each in
-    place in scratch (two float64 and two bool arrays at least as long as
-    block; the mask is a view of it), up to the first that leaves none.
-    Each cap holds where the received power x reaches the top of its rate's
-    band and fails below the band's foot (`_power_band`); the written log
-    form decides the points in between, which few blocks have."""
-    p1, p2, n0, r_joint, r1, r2 = rates
-    band_joint, band1, band2 = bands
-    x, priv, holds, cond = (a[:len(block)] for a in scratch)
-
-    def cap_holds(r: float, band: tuple[float, float], out: np.ndarray) -> np.ndarray:
-        lo, hi = band
-        at_foot = np.count_nonzero(np.greater_equal(x, lo, out=out))
-        if np.count_nonzero(np.greater_equal(x, hi, out=out)) != at_foot:
-            inside = np.flatnonzero((x >= lo) & (x < hi))
-            # r <= 0.5 * log2(1.0 + x / n0), with x the received power
-            out[inside] = r <= 0.5 * np.log2(1.0 + x[inside] / n0)
-        return out
-
-    np.multiply(2.0, block, out=x)  # p1 + p2 + 2.0 * rt * sqrt(p1 p2)
-    np.multiply(x, math.sqrt(p1 * p2), out=x)
-    np.add(p1 + p2, x, out=x)
-    if not cap_holds(r_joint, band_joint, holds).any():
-        return holds
-    np.multiply(block, block, out=priv)  # 1.0 - rt * rt
-    np.subtract(1.0, priv, out=priv)
-    for p, r, band in ((p1, r1, band1), (p2, r2, band2)):
-        np.multiply(p, priv, out=x)
-        holds &= cap_holds(r, band, cond)
-        if not holds.any():
-            break
-    return holds
-
-
 def _feasible_span(grid: np.ndarray, rates: tuple[float, ...]) -> tuple[int, int]:
-    """First and last grid index where all three rate conditions hold;
-    (-1, -1) if there is none. Walks the blocks in from the front to the
-    first feasible one, then in from the back to the last."""
-    starts = range(0, len(grid), _SCAN_BLOCK)
-    scratch = (*np.empty((2, _SCAN_BLOCK)), *np.empty((2, _SCAN_BLOCK), bool))
-    bands = tuple(_power_band(r, rates[2]) for r in rates[3:])
+    """First and last index of the increasing grid of rho_tilde where all
+    three rate conditions hold as written, r <= 0.5 * log2(1.0 + x / n0)
+    with x the received power; (-1, -1) if there is none.
 
-    def walk(order, from_back: bool) -> int:
-        for start in order:
-            holds = _feasible_mask(grid[start:start + _SCAN_BLOCK], rates, bands, scratch)
-            end = len(holds) - 1 - holds[::-1].argmax() if from_back else holds.argmax()
-            if holds[end]:
-                return start + int(end)
-        return -1
+    The sum-rate cap is nondecreasing in rho_tilde and each user's cap is
+    nonincreasing, so the feasible points are [a, b]: a the first index
+    where the sum-rate condition holds, b the last before either user's
+    condition fails. Two bisections find them. Each step that forms x
+    (a product by 2 or by a constant, a sum, 1 - rt^2) is monotone under
+    round-to-nearest, and so are 1 + x / n0 and the halving; np.log2 is
+    not proven monotone here, and the dense-mask tests, which evaluate the
+    conditions at every grid point, guard it.
+    """
+    p1, p2, n0, r_joint, r1, r2 = rates
+    root = math.sqrt(p1 * p2)
 
-    first = walk(starts, False)
-    if first < 0:
-        return -1, -1
-    return first, walk(reversed(starts), True)
+    def sum_holds(rt: float) -> bool:
+        return r_joint <= 0.5 * np.log2(1.0 + (p1 + p2 + 2.0 * rt * root) / n0)
+
+    def user_fails(rt: float) -> bool:
+        priv = 1.0 - rt * rt
+        return not all(r <= 0.5 * np.log2(1.0 + p * priv / n0) for p, r in ((p1, r1), (p2, r2)))
+
+    first = bisect.bisect_left(grid, True, key=sum_holds)
+    last = bisect.bisect_left(grid, True, key=user_fails) - 1
+    return (first, last) if first <= last else (-1, -1)
 
 
 def _oracle_instance(rng: np.random.Generator) -> tuple[SourceParams, ChannelParams, DistortionPair]:
@@ -305,40 +242,21 @@ def _oracle_instance(rng: np.random.Generator) -> tuple[SourceParams, ChannelPar
 
 
 def feasibility_oracle(scale: Scale) -> CriterionResult:
-    """Closed-form feasibility interval vs a dense rho_tilde scan of the
-    three rate conditions on randomized instances.
-
-    The caller draws every instance and evaluates the closed forms in
-    instance order. The scans then run on the simulator's streams (even
-    instances on the caller, odd ones on a helper), each walking its
-    instance in from both ends in cache-sized blocks, and the comparison
-    is made in instance order after both have finished, so the result
-    does not depend on the number of cores.
-    """
+    """Closed-form feasibility interval vs the span of rho_tilde grid points
+    where the three rate conditions hold as written, on randomized
+    instances scanned in order on the calling thread."""
     rng = np.random.default_rng(424242)
     grid = np.linspace(0.0, 1.0, scale.scan_points)
     step = grid[1] - grid[0]
     slack = step * 1.000001 + 1e-9
-    closed_forms = []
-    rates = []
-    for _ in range(scale.instances):
+    problems = []
+    for i in range(scale.instances):
         source, channel, pair = _oracle_instance(rng)
-        closed_forms.append(check_feasibility(source, channel, pair))
-        rates.append((
+        res = check_feasibility(source, channel, pair)
+        first, last = _feasible_span(grid, (
             channel.p1, channel.p2, channel.n0,
             joint_rd(source, pair), conditional_rd(source, pair.d1), conditional_rd(source, pair.d2),
         ))
-
-    spans = [(-1, -1)] * scale.instances
-
-    def stream(instances) -> None:
-        for i in instances:
-            spans[i] = _feasible_span(grid, rates[i])
-
-    _run_streams(scale.instances, stream)
-
-    problems = []
-    for i, (res, (first, last)) in enumerate(zip(closed_forms, spans)):
         if first < 0:
             if res.feasible and res.rho_interval[1] - res.rho_interval[0] > 2.0 * step:
                 problems.append(f"instance {i}: scan empty, closed-form interval wide")

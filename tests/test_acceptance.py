@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import log_uniform
 
-from gmacfb import FeasibilityResult, bounds, cli, conditional_rd, joint_rd, simulate, verification
+from gmacfb import FeasibilityResult, bounds, cli, conditional_rd, joint_rd, verification
 from gmacfb.verification import SCALES, CriterionResult, CRITERIA, run_criteria
 
 FULL = SCALES["full"]
@@ -183,25 +183,29 @@ def _written_hits(grid, rates):
     return np.flatnonzero((r_joint <= sum_cap) & (r1 <= cap1) & (r2 <= cap2))
 
 
-def _check_rate_scan_against_written_conditions():
-    # The span walked in from both ends must be the first and last index of
-    # the mask of the three rate conditions as written over the whole grid.
-    # Instances are drawn as the oracle draws them; this seed gives empty,
-    # full and partial masks. Four more take each early stop of the mask:
-    # only the sum rate, only user 1, or only user 2 fails everywhere, and
-    # the caps of one point, where the sum rate holds from it on and user 1
-    # up to it. The last instance is feasible on about [0.5, 0.51] only,
-    # inside one block at either block size, so both walks stop at the
-    # same block.
-    grid = np.linspace(0.0, 1.0, 100_001)
-    rng = np.random.default_rng(20)
-    instances = []
-    for _ in range(20):
+def _oracle_rates(seed, count):
+    """The rates of count instances drawn as the oracle draws them."""
+    rng = np.random.default_rng(seed)
+    rates = []
+    for _ in range(count):
         source, channel, pair = verification._oracle_instance(rng)
-        instances.append((
+        rates.append((
             channel.p1, channel.p2, channel.n0,
             joint_rd(source, pair), conditional_rd(source, pair.d1), conditional_rd(source, pair.d2),
         ))
+    return rates
+
+
+def test_rate_scan_matches_written_conditions():
+    # The span must be the first and last index of the mask of the three
+    # rate conditions as written over the whole grid. Instances are drawn
+    # as the oracle draws them; this seed gives empty, full and partial
+    # masks. Four more make one condition decide alone: only the sum rate,
+    # only user 1, or only user 2 fails everywhere, and the caps of one
+    # point, where the sum rate holds from it on and user 1 up to it. The
+    # last instance is feasible on about [0.5, 0.51] only.
+    grid = np.linspace(0.0, 1.0, 100_001)
+    instances = _oracle_rates(seed=20, count=20)
     sum_cap, cap1, _ = _written_caps(grid, 1.0, 1.0, 1.0)
     instances += [
         (1.0, 1.0, 1.0, 2.0, 0.0, 0.0),
@@ -220,63 +224,44 @@ def _check_rate_scan_against_written_conditions():
     assert kinds == {"empty", "full", "partial"}
     assert _written_hits(grid, instances[-2]).tolist() == [50_123]
     first, last = span  # of the last instance
-    assert 0 < last - first < 2_000 and first // verification._SCAN_BLOCK == last // verification._SCAN_BLOCK
-
-
-def test_rate_scan_matches_written_conditions():
-    _check_rate_scan_against_written_conditions()
-
-
-def test_rate_scan_block_edges(monkeypatch):
-    # 4,099 does not divide 100,001: block edges fall all over the grid and
-    # the last block is ragged.
-    monkeypatch.setattr(verification, "_SCAN_BLOCK", 4_099)
-    _check_rate_scan_against_written_conditions()
+    assert 0 < last - first < 2_000
 
 
 _PROPERTY_GRID = np.linspace(0.0, 1.0, 10_001)
-# 257 does not divide 10,001; a drawn index is any grid point, a block's
-# first point or the point before it, or None for a rate of 0 (holds
+# A drawn index is any grid point, or None for a rate of 0 (holds
 # everywhere).
-_INDEX = st.none() | st.integers(0, 10_000) | st.builds(
-    lambda k, d: min(max(257 * k + d, 0), 10_000), st.integers(0, 10_000 // 257), st.integers(-1, 0)
-)
+_INDEX = st.none() | st.integers(0, 10_000)
 
 
 @settings(max_examples=300, deadline=None)
 @given(p1=log_uniform(-3, 3), p2=log_uniform(-3, 3), n0=log_uniform(-3, 3), at=st.tuples(_INDEX, _INDEX, _INDEX))
 def test_rate_scan_property(p1, p2, n0, at):
     # Each rate is its cap at a drawn grid point, so the ends of the span
-    # land anywhere, block edges included, or the span is empty.
+    # land anywhere, or the span is empty.
     caps = _written_caps(_PROPERTY_GRID, p1, p2, n0)
     rates = (p1, p2, n0, *(0.0 if i is None else cap[i] for cap, i in zip(caps, at)))
     hits = _written_hits(_PROPERTY_GRID, rates)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verification, "_SCAN_BLOCK", 257)
-        span = verification._feasible_span(_PROPERTY_GRID, rates)
+    span = verification._feasible_span(_PROPERTY_GRID, rates)
     assert span == ((hits[0], hits[-1]) if len(hits) else (-1, -1))
 
 
 @pytest.mark.parametrize("scale", [1.0, 4.0 ** 10])
-def test_rate_scan_tie_decided_by_the_written_form(monkeypatch, scale):
+def test_rate_scan_tie_decided_by_the_written_form(scale):
     # The sum rate is the written sum cap at index 8684, and the user rates
     # are 0. There the received power rounds to 55.261751599058016, an ulp
-    # below the power need 55.26175159905802: a power test alone rejects
-    # the point that the written form accepts. Only the band sends it to
-    # the written form. A power of four scales p1, p2, n0, the received
-    # power and the need exactly, and the band with them.
+    # below the power need 55.26175159905802: a power test alone would
+    # reject the point that the written form accepts. A power of four
+    # scales p1, p2, n0, the received power and the need exactly.
     p1, p2, n0 = (v * scale for v in (5.462735454767605, 28.230718763147177, 59.04204526508543))
     sum_cap, _, _ = _written_caps(_PROPERTY_GRID, p1, p2, n0)
     rates = (p1, p2, n0, sum_cap[8684], 0.0, 0.0)
     assert verification._feasible_span(_PROPERTY_GRID, rates) == (8684, 10_000)
-    monkeypatch.setattr(verification, "_BAND_RTOL", 0.0)
-    assert verification._feasible_span(_PROPERTY_GRID, rates) == (8685, 10_000)
 
 
 def test_rate_scan_edge_rates():
     # A user rate of 0 holds everywhere, at rho_tilde = 1 too, where the
     # private power is 0. Rates of 600 bits and beyond any float hold
-    # nowhere, and 4^r overflowing raises no warning.
+    # nowhere, and raise no warning.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert verification._feasible_span(_PROPERTY_GRID, (1.0, 2.0, 0.5, 0.0, 0.0, 0.0)) == (0, 10_000)
@@ -291,75 +276,54 @@ def test_rate_scan_edge_rates():
         assert verification._feasible_span(_PROPERTY_GRID, (1.0, 1.0, 1e-308, 600.0, 0.0, 0.0)) == (0, 10_000)
 
 
-def test_feasibility_oracle_takes_the_log_of_few_points(monkeypatch):
-    # The power band decides almost every grid point; only points at a cap
-    # reach the written log form, which would take all 9,948,576 points
-    # that the quick scan visits.
-    elements = []
-    real = np.log2
+class _CountedReads:
+    """A grid that counts the points read from it."""
 
-    def counted(x, *args, **kwargs):
-        elements.append(np.size(x))
-        return real(x, *args, **kwargs)
+    def __init__(self, grid):
+        self.grid = grid
+        self.reads = 0
 
-    monkeypatch.setattr(np, "log2", counted)
-    assert verification.feasibility_oracle(SCALES["quick"]).passed
-    assert sum(elements) < 1_000
+    def __len__(self):
+        return len(self.grid)
 
-
-def test_feasibility_oracle_independent_of_stream_count(monkeypatch):
-    results = []
-    for cpus in (1, 2):
-        monkeypatch.setattr(simulate, "_available_cpus", lambda: cpus)
-        results.append(verification.feasibility_oracle(SCALES["quick"]))
-    # Four streams on at most two cores, switching threads every few
-    # microseconds: a lost or misplaced span would change the result.
-    monkeypatch.setattr(simulate, "_available_cpus", lambda: 4)
-    monkeypatch.setattr(simulate, "_MAX_WORKERS", 4)
-    threads = threading.active_count()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        results.append(verification.feasibility_oracle(SCALES["quick"]))
-    finally:
-        sys.setswitchinterval(interval)
-    assert threading.active_count() == threads
-    assert results[0] == results[1] == results[2]
-    assert results[0].passed
+    def __getitem__(self, i):
+        points = self.grid[i]
+        self.reads += np.size(points)
+        return points
 
 
-def test_feasibility_oracle_helper_stream_error_reaches_caller(monkeypatch):
-    # With two streams the helper thread scans the odd instances; it fails
-    # on its first one. The caller's stream waits inside any instance it
-    # starts until the helper has stopped, so it must scan at most one.
+def test_feasible_span_reads_a_logarithmic_number_of_points():
+    # Two bisections read at most ceil(log2 N) + 1 points each; a dense
+    # scan would read all 100,001. The span is still the mask's ends.
+    grid = np.linspace(0.0, 1.0, 100_001)
+    limit = 2 * (math.ceil(math.log2(len(grid))) + 1)
+    for rates in _oracle_rates(seed=20, count=20):
+        counted = _CountedReads(grid)
+        span = verification._feasible_span(counted, rates)
+        hits = _written_hits(grid, rates)
+        assert span == ((hits[0], hits[-1]) if len(hits) else (-1, -1))
+        assert 0 < counted.reads <= limit
+
+
+def test_feasibility_oracle_scans_in_order_on_the_calling_thread(monkeypatch):
+    # Instance i's rates reach the scan i-th, on the thread that called.
     real = verification._feasible_span
-    failed = threading.Event()
-    helpers = []
-    scanned = []
+    seen = []
 
-    def fail_on_odd_instances(grid, rates):
-        if threading.current_thread() is not threading.main_thread():
-            helpers.append(threading.current_thread())
-            failed.set()
-            raise ArithmeticError("odd instance failed")
-        assert failed.wait(timeout=30)
-        helpers[0].join(timeout=30)
-        assert not helpers[0].is_alive()
-        scanned.append(rates)
+    def recorded(grid, rates):
+        seen.append((threading.current_thread(), rates))
         return real(grid, rates)
 
-    monkeypatch.setattr(simulate, "_available_cpus", lambda: 2)
-    monkeypatch.setattr(verification, "_feasible_span", fail_on_odd_instances)
-    threads = threading.active_count()
-    with pytest.raises(ArithmeticError, match="odd instance failed"):
-        verification.feasibility_oracle(SCALES["quick"])
-    assert threading.active_count() == threads
-    assert len(scanned) <= 1
+    monkeypatch.setattr(verification, "_feasible_span", recorded)
+    quick = SCALES["quick"]
+    assert verification.feasibility_oracle(quick).passed
+    assert [thread for thread, _ in seen] == [threading.current_thread()] * quick.instances
+    assert [rates for _, rates in seen] == _oracle_rates(seed=424242, count=quick.instances)
 
 
-def test_feasibility_oracle_memory_is_one_grid_and_block_temporaries():
-    # The 8 MB grid of 10^6 points plus each stream's 1.2 MB scratch, which
-    # its instance's blocks reuse; one more array the size of the grid
+def test_feasibility_oracle_memory_is_one_grid():
+    # The 8 MB grid of 10^6 points and under 1 MiB else: one more array the
+    # size of the grid, or a scratch of 2^16-point blocks (1.125 MiB),
     # would not fit.
     verification.feasibility_oracle(FULL)
     tracemalloc.start()
@@ -368,7 +332,7 @@ def test_feasibility_oracle_memory_is_one_grid_and_block_temporaries():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2 ** 20
+    assert peak < 8_000_000 + 2 ** 20
 
 
 def test_criterion_6_rd_properties():

@@ -71,6 +71,14 @@ class TestRd:
         assert payload["region"] == "A"
         assert twin_text(payload["joint_bits"]) == "1.52944684"
 
+    def test_fully_correlated_targets_that_underflow(self):
+        # Both d / sigma2 underflow to 0, where region A's test holds at
+        # 0 <= 0; A is empty at rho = 1, and the targets differ.
+        payload = assert_text_twin(["rd", "--sigma2", "1e300", "--rho", "1", "--d1", "5e-324", "--d2", "1e-300"],
+                                   RD_KEYS)
+        assert payload["region"] == "C"
+        assert twin_text(payload["joint_bits"]) == "1035.28921"
+
     def test_zero_rate_example(self):
         assert assert_text_twin(["rd", *SOURCE, "--d1", "1", "--d2", "1"], RD_KEYS)["joint_bits"] == 0.0
 

@@ -61,6 +61,17 @@ class TestClassifyRegion:
             HALF, DistortionPair(1.0, 0.2)
         )
 
+    def test_fully_correlated_source_has_no_region_a(self):
+        # At sigma2 = 1e300 both unit targets underflow to 0, where region
+        # A's test holds at 0 <= 0. At rho = 1 the targets decide: C where
+        # they differ, B where they are equal, as above the normal range.
+        src = SourceParams(1e300, 1.0)
+        assert classify_region(src, DistortionPair(5e-324, 1e-300)) is Region.C
+        assert classify_region(src, DistortionPair(1e-300, 1e-300)) is Region.B
+        assert classify_region(src, DistortionPair(0.3e300, 0.5e300)) is Region.C
+        assert classify_region(src, DistortionPair(0.3e300, 0.3e300)) is Region.B
+        assert classify_region(src, DistortionPair(2e300, 3e300)) is Region.B
+
     def test_rho_zero_box_is_a(self):
         src = SourceParams(1.0, 0.0)
         for d1 in (0.1, 0.5, 1.0):

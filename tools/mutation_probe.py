@@ -1,7 +1,7 @@
 """Mutation probe: how many one-operator mutants of some functions do the
 tests kill?
 
-    python tools/mutation_probe.py src/gmacfb/verification.py _feasible_mask _feasible_span \
+    python tools/mutation_probe.py src/gmacfb/verification.py _feasible_span \
         -- tests/test_acceptance.py -k "rate_scan or feasibility"
 
 Each mutant flips one comparison (< and <=, > and >=, == and !=) or one
