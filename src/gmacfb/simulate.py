@@ -20,18 +20,17 @@ non-finite.
 
 The run streams through fixed batches of 2^16 symbols, so the working set
 stays a few megabytes whatever the length. Each stream allocates its
-workspace once per run, a (5, 2^16) float64 array for the moment rows and
-a (3, 2^16) one for s1, s2 and y (4 MiB together), and fills it in place,
-batch after batch, so the batch loop allocates no arrays. Batch b draws
-from its own generator seeded by (seed, b) and is reduced to per-symbol
-(count, mean, M2) moments. The batches are independent, so two streams
-run them: the calling thread takes the even batches and one helper
-thread the odd ones (one stream on a single CPU or a single batch). Only
-the 80 bytes of moments per batch are kept, and the caller folds them in
-batch order with the parallel update of Chan, Golub & LeVeque (1979). The
-report therefore depends only on the symbol count and the seed, bit for
-bit, whatever the number of streams, and there is no tuning knob that
-changes it.
+workspace once per run, one (4, 2^16) float64 array (2 MiB), and fills it
+in place, batch after batch, so the batch loop allocates no arrays. Batch
+b draws from its own generator seeded by (seed, b) and is reduced to
+per-symbol (count, mean, M2) moments as its rows are formed. The batches
+are independent, so two streams run them: the calling thread takes the
+even batches and one helper thread the odd ones (one stream on a single
+CPU or a single batch). Only the 80 bytes of moments per batch are kept,
+and the caller folds them in batch order with the parallel update of
+Chan, Golub & LeVeque (1979). The report therefore depends only on the
+symbol count and the seed, bit for bit, whatever the number of streams,
+and there is no tuning knob that changes it.
 """
 
 from __future__ import annotations
@@ -161,25 +160,30 @@ def _merge(a: _Moments, b: _Moments) -> _Moments:
     return n, mean_a + delta * (n_b / n), m2_a + m2_b + delta * delta * (n_a * n_b / n)
 
 
-def _fill_rows(
-    rho: float, snr: float, rng: np.random.Generator, rows: np.ndarray, sources: np.ndarray
-) -> None:
-    """Run one batch of rows.shape[1] symbols in place, allocating nothing.
+def _fill_rows(rho: float, snr: float, rng: np.random.Generator, ws: np.ndarray, out: np.ndarray) -> None:
+    """Run one batch of ws.shape[1] symbols in place, allocating nothing,
+    and write the mean and M2 of its per-symbol e1^2, e2^2, s1^2, s2^2 and
+    s1 s2 at unit variance to out[0] and out[1].
 
-    The (3, n) sources become s1, s2 and y, then y is overwritten by the
-    estimate; the (5, n) rows become the per-symbol e1, e2, s1^2, s2^2,
-    s1 s2 at unit variance, row 0 serving as scratch until e1 is written.
+    The (4, n) workspace becomes s1, s2, y and a scratch row x; y is
+    overwritten by the estimate. Then x takes e2 and the estimate e1, and
+    those two rows are squared and reduced; then rows 3, 2 and 1 take
+    s1 s2, s2^2 and s1^2, and those three are reduced. Each block handed to
+    `_moments` must have at least two rows: numpy sums a single row in
+    another order, which moves the last bits of the report.
     """
-    s1, s2, y = sources
-    gen_source(rho, rng, s1, s2, rows[0])
-    run_channel(math.sqrt(snr), s1, s2, rng, y, rows[0])
+    s1, s2, y, x = ws
+    gen_source(rho, rng, s1, s2, x)
+    run_channel(math.sqrt(snr), s1, s2, rng, y, x)
     est = mmse_decode_uncoded(rho, snr, y, y)
-    np.subtract(s1, est, out=rows[0])
-    np.subtract(s2, est, out=rows[1])
-    np.square(rows[:2], out=rows[:2])
-    np.multiply(s1, s1, out=rows[2])
-    np.multiply(s2, s2, out=rows[3])
-    np.multiply(s1, s2, out=rows[4])
+    np.subtract(s2, est, out=x)
+    np.subtract(s1, est, out=y)
+    np.square(ws[2:], out=ws[2:])
+    _, out[0, :2], out[1, :2] = _moments(ws[2:])
+    np.multiply(s1, s2, out=ws[3])
+    np.multiply(s2, s2, out=ws[2])
+    np.multiply(s1, s1, out=ws[1])
+    _, out[0, 2:], out[1, 2:] = _moments(ws[1:])
 
 
 def _available_cpus() -> int:
@@ -247,17 +251,12 @@ def simulate_uncoded(source: SourceParams, p: float, n0: float, cfg: SimConfig) 
 
     def stream(my_batches: Iterator[int]) -> None:
         # One workspace per stream, refilled in place each batch; a partial
-        # batch uses the first columns, so every row stays contiguous. Two
-        # blocks, not one (8, n) block: glibc malloc raises its mmap
-        # threshold to the largest block freed, and after a 4 MiB block
-        # verify --full peaked 2.4 MB higher.
-        rows = np.empty((5, _BATCH_SYMBOLS))
-        sources = np.empty((3, _BATCH_SYMBOLS))
+        # batch uses the first columns, so every row stays contiguous.
+        ws = np.empty((4, _BATCH_SYMBOLS))
         for batch in my_batches:
             n = size(batch)
             rng = np.random.default_rng((cfg.seed, batch))
-            _fill_rows(rho, snr, rng, rows[:, :n], sources[:, :n])
-            _, moments[batch, 0], moments[batch, 1] = _moments(rows[:, :n])
+            _fill_rows(rho, snr, rng, ws[:, :n], moments[batch])
 
     _run_streams(batches, stream)
 

@@ -1,10 +1,12 @@
-"""Byte-for-byte regression oracles for `simulate` and `sweep` at sigma2 = 1.
+"""Byte-for-byte regression oracles for `simulate` and `sweep`.
 
 The files under tests/data were captured from the CLI before the simulator
 became a plain symbol stream and before the bounds were normalised to a
 unit-variance source, and the 1,000,003-symbol run before the batches were
 split over two threads; none of these changes may move a byte of this
-output. The two sweep goldens were regenerated from the CLI twice: when
+output. The three 65,537-symbol runs at the extremes of rho and p/n0 were
+captured before each batch was reduced in two blocks of its workspace.
+The two sweep goldens were regenerated from the CLI twice: when
 `1 - rho^2` took the form (1 - rho)(1 + rho) everywhere and the minimax
 became accurate to a few ulps, and when the sum-rate curve took its branch
 from the cap it inverts rather than from the SNR, which moved `rho_star`
@@ -52,6 +54,22 @@ def test_simulate_json_stdout_uneven_streams():
     ])
     assert code == 0
     assert out.encode() == (DATA / "simulate-1000003-seed7.json").read_bytes()
+
+
+@pytest.mark.parametrize("name, rho, p, sigma2", [
+    ("rho1-p2-sigma2.5", "1", "2", "2.5"),
+    ("rho-near1-p3e7", "0.9999999990686774", "3e7", "1"),
+    ("rho0-p1e-9", "0", "1e-9", "1"),
+])
+def test_simulate_json_stdout_at_extremes(name, rho, p, sigma2):
+    # A full batch and a one-symbol batch, at identical, nearly identical
+    # and independent components and at huge and tiny p/n0.
+    code, out, _ = run_inprocess([
+        "simulate", "--sigma2", sigma2, "--rho", rho, "--p", p, "--n", "1",
+        "--symbols", "65537", "--seed", "3", "--json",
+    ])
+    assert code == 0
+    assert out.encode() == (DATA / f"simulate-65537-{name}.json").read_bytes()
 
 
 def test_readme_grid_sweep_csv(tmp_path):

@@ -167,13 +167,9 @@ class TestMmseDecoder:
         y = np.array([1.0, -2.0, 0.5])
         np.testing.assert_array_equal(mmse_decode_uncoded(0.5, 1.0, y, np.empty(3)), 0.375 * y)
         # A batch's error rows both subtract the one estimate c y.
-        rows = np.empty((5, 1000))
-        simulate._fill_rows(0.5, 1.0, np.random.default_rng(3), rows, np.empty((3, 1000)))
-        rng = np.random.default_rng(3)
-        s1, s2 = draw_source(0.5, 1000, rng)
-        est = mmse_decode_uncoded(0.5, 1.0, channel(1.0, s1, s2, rng), np.empty(1000))
-        np.testing.assert_array_equal(rows[0], (s1 - est) ** 2)
-        np.testing.assert_array_equal(rows[1], (s2 - est) ** 2)
+        out = np.empty((2, 5))
+        simulate._fill_rows(0.5, 1.0, np.random.default_rng(3), np.empty((4, 1000)), out)
+        np.testing.assert_array_equal(out, parent_moments(0.5, 1.0, np.random.default_rng(3), 1000))
 
     def test_distortions_scale_at_huge_variance(self):
         # sigma2^2 overflows a double here; the decoder never sees sigma2,
@@ -304,12 +300,12 @@ class TestSimulateUncoded:
         assert peak < 16 * 2 ** 20
 
     def test_batches_allocate_only_the_workspaces(self, monkeypatch):
-        # Two streams, one workspace of 8 x 2^16 float64 each; every batch
+        # Two streams, one workspace of 4 x 2^16 float64 each; every batch
         # is filled in place, so longer runs add only 80 bytes of moments
         # per batch.
         monkeypatch.setattr(simulate, "_available_cpus", lambda: 2)
         simulate_uncoded(HALF, 1.0, 1.0, SimConfig(1 << 17, seed=4))
-        workspaces = 2 * 8 * _BATCH_SYMBOLS * 8
+        workspaces = 2 * 4 * _BATCH_SYMBOLS * 8
         peaks = []
         for symbols in (1 << 20, 1 << 22):
             tracemalloc.start()
@@ -323,8 +319,8 @@ class TestSimulateUncoded:
 
 
 def parent_batch(rho, snr, rng, n):
-    """One batch as fresh arrays, one per step, in the operation order the
-    workspace keeps: the five moment rows, then s1, s2 and the estimate."""
+    """One batch's five moment rows e1^2, e2^2, s1^2, s2^2 and s1 s2 as
+    fresh arrays, one per step, in the operation order of the workspace."""
     g = rng.standard_normal((2, n))
     g[1] *= math.sqrt(_one_minus_rho2(rho))
     g[1] += rho * g[0]
@@ -336,25 +332,29 @@ def parent_batch(rho, snr, rng, n):
     y += z
     one_plus = 1.0 + rho
     est = math.sqrt(snr) * one_plus / (2.0 * snr * one_plus + 1.0) * y
-    return np.array([
-        np.square(s1 - est), np.square(s2 - est), s1 * s1, s2 * s2, s1 * s2, s1, s2, est,
-    ])
+    return np.array([np.square(s1 - est), np.square(s2 - est), s1 * s1, s2 * s2, s1 * s2])
+
+
+def parent_moments(rho, snr, rng, n):
+    """(mean, M2) of parent_batch, reduced as one (5, n) block."""
+    _, mean, m2 = _moments(parent_batch(rho, snr, rng, n))
+    return np.array([mean, m2])
 
 
 class TestWorkspace:
-    """A stream's batches reuse one workspace in place: (5, 2^16) moment
-    rows and (3, 2^16) sources."""
+    """A stream's batches reuse one (4, 2^16) workspace in place and write
+    each batch's moments where its rows are formed."""
 
     @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0 - 2.0 ** -30, 1.0])
     @pytest.mark.parametrize("snr", [1e-9, 1.0, 3e7])
     def test_reused_workspace_matches_fresh_arrays(self, rho, snr):
-        rows, sources = np.full((5, _BATCH_SYMBOLS), np.nan), np.full((3, _BATCH_SYMBOLS), np.nan)
-        for batch, n in enumerate((_BATCH_SYMBOLS, 1, 1000)):
-            simulate._fill_rows(rho, snr, np.random.default_rng((9, batch)), rows[:, :n], sources[:, :n])
-            got = np.concatenate((rows[:, :n], sources[:, :n]))
-            assert np.array_equal(got, parent_batch(rho, snr, np.random.default_rng((9, batch)), n))
-            assert not np.isnan(got).any()
-        assert not np.isnan(rows).any() and not np.isnan(sources).any()
+        ws = np.full((4, _BATCH_SYMBOLS), np.nan)
+        for batch, n in enumerate((_BATCH_SYMBOLS, 1, 2, 3, 1000)):
+            out = np.full((2, 5), np.nan)
+            simulate._fill_rows(rho, snr, np.random.default_rng((9, batch)), ws[:, :n], out)
+            want = parent_moments(rho, snr, np.random.default_rng((9, batch)), n)
+            assert np.array_equal(out, want), (n, out - want)
+        assert not np.isnan(ws).any()
 
     def test_each_layer_runs_once_per_batch(self, monkeypatch):
         # The bench times these three by name; 300,000 symbols are five
