@@ -8,7 +8,10 @@ or "full" scale and reports one pass/fail per criterion; the CLI `verify`
 command and the acceptance test suite both drive this module. The
 feasibility oracle finds each instance's span of feasible grid points by
 two bisections that evaluate the rate conditions as written: the sum-rate
-cap rises and the user caps fall along the grid.
+cap rises and the user caps fall along the grid. Its grid points are formed
+on demand, as `np.linspace` forms them, and the endpoint grid minimax runs
+in place, so the criteria that do not run the simulator allocate less than
+its workspaces.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import math
 import os
 import tempfile
 import time
+from collections.abc import Sequence
 from contextlib import redirect_stdout
 from dataclasses import dataclass
 
@@ -161,6 +165,43 @@ def monte_carlo_agreement(scale: Scale) -> CriterionResult:
     )
 
 
+def _grid_minimax(grid: np.ndarray, rho: float, p: float, branch_rate: float) -> tuple[int, float]:
+    """Index and value of the minimum over the grid of rho_tilde of
+
+        rate = 0.5 * log2(1.0 + 2.0 * p * (1.0 + rt))
+        region_a = sqrt(1.0 - rho * rho) * exp2(-rate)
+        region_b = 0.5 * ((1.0 + rho) * exp2(-2.0 * rate) + (1.0 - rho))
+        sum_rate = region_a where rate >= branch_rate, else region_b
+        max(sum_rate, (1.0 - rho * rho) / (1.0 + p * (1.0 - rt * rt)))
+
+    formed in place in three arrays and one mask. Each step is the written
+    operation on the same two operands, so every value is the written one.
+    """
+    rate = np.add(grid, 1.0)
+    rate *= 2.0 * p
+    rate += 1.0
+    np.log2(rate, out=rate)
+    rate *= 0.5
+    in_a = rate >= branch_rate
+    region_a = np.negative(rate)
+    np.exp2(region_a, out=region_a)
+    region_a *= math.sqrt(1.0 - rho * rho)
+    values = np.multiply(rate, -2.0)
+    np.exp2(values, out=values)
+    values *= 1.0 + rho
+    values += 1.0 - rho
+    values *= 0.5
+    np.copyto(values, region_a, where=in_a)
+    user_cap = np.multiply(grid, grid, out=rate)
+    np.subtract(1.0, user_cap, out=user_cap)
+    user_cap *= p
+    user_cap += 1.0
+    np.divide(1.0 - rho * rho, user_cap, out=user_cap)
+    np.maximum(values, user_cap, out=values)
+    idx = int(np.argmin(values))
+    return idx, values[idx]
+
+
 def endpoint_threshold(scale: Scale) -> CriterionResult:
     """Below the endpoint SNR the minimax must sit exactly at rho_tilde = 1;
     above it, at a genuine crossing that a brute-force grid minimax
@@ -185,24 +226,19 @@ def endpoint_threshold(scale: Scale) -> CriterionResult:
                 sum_rate_curve(source, p, 1.0, res.rho_star)
                 - single_user_curve(source, p, 1.0, res.rho_star)
             )
-            rate = 0.5 * np.log2(1.0 + 2.0 * p * (1.0 + grid))
-            region_a = math.sqrt(1.0 - rho * rho) * np.exp2(-rate)
-            region_b = 0.5 * ((1.0 + rho) * np.exp2(-2.0 * rate) + (1.0 - rho))
-            sum_rate = np.where(rate >= diagonal_branch_rate(source), region_a, region_b)
-            values = np.maximum(sum_rate, (1.0 - rho * rho) / (1.0 + p * (1.0 - grid * grid)))
-            idx = int(np.argmin(values))
+            idx, value = _grid_minimax(grid, rho, p, diagonal_branch_rate(source))
             if res.rho_star >= 1.0:
                 problems.append(f"rho={rho} snr={p:.4g}: expected interior crossing")
             if gap > 1e-12:
                 problems.append(f"rho={rho} snr={p:.4g}: curve gap {gap:.2e}")
             if abs(grid[idx] - res.rho_star) > step * 1.000001:
                 problems.append(f"rho={rho} snr={p:.4g}: grid argmin off by {abs(grid[idx] - res.rho_star):.2e}")
-            if abs(values[idx] - res.lower_bound) > 1e-6:
-                problems.append(f"rho={rho} snr={p:.4g}: grid value off by {abs(values[idx] - res.lower_bound):.2e}")
+            if abs(value - res.lower_bound) > 1e-6:
+                problems.append(f"rho={rho} snr={p:.4g}: grid value off by {abs(value - res.lower_bound):.2e}")
     return _verdict("endpoint-threshold", problems, "all endpoint/crossing placements verified against grid minimax")
 
 
-def _feasible_span(grid: np.ndarray, rates: tuple[float, ...]) -> tuple[int, int]:
+def _feasible_span(grid: Sequence[float], rates: tuple[float, ...]) -> tuple[int, int]:
     """First and last index of the increasing grid of rho_tilde where all
     three rate conditions hold as written, r <= 0.5 * log2(1.0 + x / n0)
     with x the received power; (-1, -1) if there is none.
@@ -241,12 +277,28 @@ def _oracle_instance(rng: np.random.Generator) -> tuple[SourceParams, ChannelPar
     return SourceParams(s2, rho), ChannelParams(p1, p2, n0), DistortionPair(d1, d2)
 
 
+class _LinspaceGrid:
+    """np.linspace(0.0, 1.0, n), n >= 2, with each point formed on demand
+    as numpy forms it: i * (1.0 / (n - 1)), and 1.0 at the last index."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.step = 1.0 / (n - 1)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i: int) -> float:
+        return 1.0 if i == self.n - 1 else i * self.step
+
+
 def feasibility_oracle(scale: Scale) -> CriterionResult:
     """Closed-form feasibility interval vs the span of rho_tilde grid points
     where the three rate conditions hold as written, on randomized
-    instances scanned in order on the calling thread."""
+    instances scanned in order on the calling thread. The grid's points are
+    formed on demand: the two bisections read at most 40 of them per instance."""
     rng = np.random.default_rng(424242)
-    grid = np.linspace(0.0, 1.0, scale.scan_points)
+    grid = _LinspaceGrid(scale.scan_points)
     step = grid[1] - grid[0]
     slack = step * 1.000001 + 1e-9
     problems = []

@@ -28,7 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import log_uniform
 
-from gmacfb import FeasibilityResult, bounds, cli, conditional_rd, joint_rd, verification
+from gmacfb import FeasibilityResult, SourceParams, bounds, cli, conditional_rd, joint_rd, snr_threshold, verification
+from gmacfb.rate_distortion import diagonal_branch_rate
 from gmacfb.verification import SCALES, CriterionResult, CRITERIA, run_criteria
 
 FULL = SCALES["full"]
@@ -98,6 +99,50 @@ def test_endpoint_threshold_reports_a_misplaced_minimax(monkeypatch, active, cha
     assert not result.passed
     for problem in problems:
         assert problem in result.detail
+
+
+def _written_grid_minimax(grid, rho, p, branch_rate):
+    """The endpoint criterion's grid minimax, written out of place."""
+    rate = 0.5 * np.log2(1.0 + 2.0 * p * (1.0 + grid))
+    region_a = math.sqrt(1.0 - rho * rho) * np.exp2(-rate)
+    region_b = 0.5 * ((1.0 + rho) * np.exp2(-2.0 * rate) + (1.0 - rho))
+    sum_rate = np.where(rate >= branch_rate, region_a, region_b)
+    values = np.maximum(sum_rate, (1.0 - rho * rho) / (1.0 + p * (1.0 - grid * grid)))
+    idx = int(np.argmin(values))
+    return idx, values[idx]
+
+
+def _endpoint_cases():
+    """(rho, p/n0) at the criterion's three crossing SNRs per correlation,
+    and at correlations and SNRs near the ends of their ranges."""
+    for rho in verification.RHO_GRID:
+        source = SourceParams(1.0, rho)
+        t_end = bounds.endpoint_snr_threshold(source)
+        yield from ((rho, p) for p in (t_end * 1.1, t_end * 2.0, snr_threshold(source) * 1.5))
+    yield from ((rho, p) for rho in (0.01, 0.999) for p in (1e-3, 1.0, 1e3))
+
+
+def test_grid_minimax_is_the_written_expression():
+    # In place, every step is the written one: index and value equal to
+    # the bit.
+    grid = np.linspace(0.0, 1.0, verification.MINIMAX_POINTS)
+    for rho, p in _endpoint_cases():
+        branch_rate = diagonal_branch_rate(SourceParams(1.0, rho))
+        expected = _written_grid_minimax(grid, rho, p, branch_rate)
+        assert verification._grid_minimax(grid, rho, p, branch_rate) == expected, (rho, p)
+
+
+def test_endpoint_threshold_memory_is_the_grid_and_three_arrays():
+    # The grid, three more arrays of its size and a mask: the written
+    # expression's temporaries (about 6 MiB) would not fit.
+    verification.endpoint_threshold(FULL)
+    tracemalloc.start()
+    try:
+        verification.endpoint_threshold(FULL)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * verification.MINIMAX_POINTS + 2 ** 18
 
 
 def _patch_sum_rate_kernel(monkeypatch, region_b):
@@ -321,10 +366,9 @@ def test_feasibility_oracle_scans_in_order_on_the_calling_thread(monkeypatch):
     assert [rates for _, rates in seen] == _oracle_rates(seed=424242, count=quick.instances)
 
 
-def test_feasibility_oracle_memory_is_one_grid():
-    # The 8 MB grid of 10^6 points and under 1 MiB else: one more array the
-    # size of the grid, or a scratch of 2^16-point blocks (1.125 MiB),
-    # would not fit.
+def test_feasibility_oracle_memory_holds_no_grid():
+    # Grid points are formed on demand: under 64 KiB, where the 8 MB grid
+    # of 10^6 points would not fit.
     verification.feasibility_oracle(FULL)
     tracemalloc.start()
     try:
@@ -332,7 +376,44 @@ def test_feasibility_oracle_memory_is_one_grid():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8_000_000 + 2 ** 20
+    assert peak < 2 ** 16
+
+
+@pytest.mark.parametrize("n", [2, 3, 10_001, 100_001])
+def test_linspace_grid_is_np_linspace_at_every_index(n):
+    grid = verification._LinspaceGrid(n)
+    assert len(grid) == n
+    assert [grid[i] for i in range(n)] == np.linspace(0.0, 1.0, n).tolist()
+
+
+def test_linspace_grid_is_np_linspace_at_full_scale():
+    # The two ends and 10,000 seeded indices of the oracle's 10^6 points.
+    n = FULL.scan_points
+    grid = verification._LinspaceGrid(n)
+    dense = np.linspace(0.0, 1.0, n)
+    at = [0, n - 1, *np.random.default_rng(30).integers(0, n, size=10_000).tolist()]
+    assert [grid[i] for i in at] == dense[at].tolist()
+
+
+def test_feasibility_oracle_spans_equal_the_dense_grid_spans(monkeypatch):
+    # Each instance's span on the oracle's grid is its span on the array
+    # np.linspace builds.
+    real = verification._feasible_span
+    quick = SCALES["quick"]
+    dense = np.linspace(0.0, 1.0, quick.scan_points)
+    spans = []
+
+    def compared(grid, rates):
+        span = real(grid, rates)
+        spans.append(span)
+        assert span == real(dense, rates)
+        return span
+
+    monkeypatch.setattr(verification, "_feasible_span", compared)
+    assert verification.feasibility_oracle(quick).passed
+    assert len(spans) == quick.instances
+    # Empty spans, and spans that end inside the grid.
+    assert any(first < 0 for first, _ in spans) and any(0 < last < len(dense) - 1 for _, last in spans)
 
 
 def test_criterion_6_rd_properties():

@@ -5,13 +5,14 @@ tests kill?
         -- tests/test_acceptance.py -k "rate_scan or feasibility"
 
 Each mutant flips one comparison (< and <=, > and >=, == and !=) or one
-arithmetic operator (+ and -, * and /) inside the named functions, nested
-ones included. It is written into a copy of the checkout in a temporary
-directory (under --workdir if given), never into the checkout itself, and
-the pytest selection after `--` runs on it with -x, the known-red
-tightness criterion deselected. A mutant is killed if the run fails or
-times out. Prints one line per surviving site and the kill count. Not
-part of the test suite: a run takes one pytest run per site.
+arithmetic operator (+ and -, * and /, in place or not) inside the named
+functions, nested ones included. It is written into a copy of the
+checkout in a temporary directory (under --workdir if given), never into
+the checkout itself, and the pytest selection after `--` runs on it with
+-x, the known-red tightness criterion deselected. A mutant is killed if
+the run fails or times out. Prints one line per surviving site and the
+kill count. Not part of the test suite: a run takes one pytest run per
+site.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ def sites(tree: ast.Module, names: set[str]) -> list[tuple[ast.AST, int]]:
     for func in ast.walk(tree):
         if isinstance(func, ast.FunctionDef) and func.name in names:
             for node in ast.walk(func):
-                ops = node.ops if isinstance(node, ast.Compare) else [node.op] if isinstance(node, ast.BinOp) else []
+                arithmetic = isinstance(node, (ast.BinOp, ast.AugAssign))
+                ops = node.ops if isinstance(node, ast.Compare) else [node.op] if arithmetic else []
                 found += [(node, i) for i, op in enumerate(ops) if type(op) in FLIPS]
     return found
 
