@@ -195,6 +195,12 @@ def _single_user_unit(rho: float, snr: float, v: float) -> float:
     return _one_minus_rho2(rho) / (1.0 + snr * v)
 
 
+def _uncoded_unit(rho: float, snr: float) -> float:
+    """Unit-variance distortion of uncoded transmission with conditional-mean
+    decoding; the one copy of the formula."""
+    return (snr * _one_minus_rho2(rho) + 1.0) / (2.0 * snr * (1.0 + rho) + 1.0)
+
+
 def sum_rate_curve(source: SourceParams, p: float, n0: float, rho_tilde: float) -> float:
     """Distortion lower bound from the sum-rate condition, equal-power case.
 
@@ -297,9 +303,7 @@ def uncoded_distortion(source: SourceParams, p: float, n0: float) -> float:
     Valid at any SNR as an achievable upper bound; it equals the optimum
     exactly when p/n0 is at or below the SNR threshold.
     """
-    snr = _check_power_noise(p, n0)
-    rho = source.rho
-    return source.sigma2 * ((snr * _one_minus_rho2(rho) + 1.0) / (2.0 * snr * (1.0 + rho) + 1.0))
+    return source.sigma2 * _uncoded_unit(source.rho, _check_power_noise(p, n0))
 
 
 def dstar_below_threshold(source: SourceParams, p: float, n0: float) -> float:

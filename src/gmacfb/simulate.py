@@ -8,7 +8,11 @@ uncoded one, and the channel is a plain stream of symbols. Each encoder
 sends its current source symbol at amplitude a = sqrt(p / n0), the receiver
 observes y = a s1 + a s2 + z, and the decoder forms the conditional mean
 c y. Everything is jointly Gaussian, so the empirical distortions can be
-checked against the closed-form prediction.
+checked against the closed-form prediction: the report carries that
+distortion d_uncoded and each component's z-score (d_hat - d_uncoded) /
+stderr, formed here and nowhere else, from the unit-variance statistics.
+A z is None (null in JSON) where the run has no spread, as at one
+symbol; `simulate` exits 1 only on a non-null |z| above 4.
 
 The run depends on p and n0 through p / n0 alone, and on sigma2 not at
 all: it draws a unit-variance source and unit-variance noise, and scales
@@ -38,11 +42,11 @@ from __future__ import annotations
 import math
 import os
 import threading
-from collections.abc import Callable, Iterator
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
+from .bounds import _uncoded_unit
 from .model import DEFAULT_SEED, ParameterError, SimulationError, SourceParams, _check_power_noise, _one_minus_rho2
 
 # Symbols per batch: fixed, so it never changes the random stream.
@@ -75,7 +79,10 @@ class SimReport:
     transmit powers, rho_tilde_hat the normalized |correlation| of the two
     realized input sequences. Standard errors come from the per-symbol
     spread. p*_flagged marks an empirical power more than four standard
-    errors above its constraint (audited, never clipped).
+    errors above its constraint (audited, never clipped). d_uncoded is the
+    closed-form distortion of the scheme, and z* = (d*_hat - d_uncoded) /
+    stderr_d*, formed from the unit-variance statistics so that sigma2
+    cannot round it; z* is None where the run has no spread (stderr 0).
     """
 
     d1_hat: float
@@ -90,6 +97,9 @@ class SimReport:
     p1_flagged: bool
     p2_flagged: bool
     total_symbols: int
+    d_uncoded: float
+    z1: float | None
+    z2: float | None
 
     def __post_init__(self) -> None:
         if not all(math.isfinite(v) for v in astuple(self) if isinstance(v, float)):
@@ -193,40 +203,6 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_streams(items: int, stream: Callable[[Iterator[int]], None]) -> None:
-    """Run items 0..items-1 on at most _MAX_WORKERS streams at once.
-
-    Stream w gets the items w, w + workers, ... as an iterator: the calling
-    thread takes w = 0 and helper threads the rest (one stream on a single
-    CPU or a single item). Each stream sets up its own buffers. A stream's
-    failure is caught, the other streams stop at their next item, and the
-    first failure is re-raised in the caller once every stream has stopped.
-    """
-    workers = min(_MAX_WORKERS, items, _available_cpus())
-    errors: list[BaseException] = []
-
-    def stripe(start: int) -> Iterator[int]:
-        for item in range(start, items, workers):
-            if errors:
-                return
-            yield item
-
-    def run(start: int) -> None:
-        try:
-            stream(stripe(start))
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-
-
 def simulate_uncoded(source: SourceParams, p: float, n0: float, cfg: SimConfig) -> SimReport:
     """Full pipeline: draw sources, run the channel with uncoded encoders,
     decode, and fold per-symbol statistics batch by batch.
@@ -249,16 +225,32 @@ def simulate_uncoded(source: SourceParams, p: float, n0: float, cfg: SimConfig) 
     def size(batch: int) -> int:
         return min(_BATCH_SYMBOLS, cfg.symbols - batch * _BATCH_SYMBOLS)
 
-    def stream(my_batches: Iterator[int]) -> None:
-        # One workspace per stream, refilled in place each batch; a partial
-        # batch uses the first columns, so every row stays contiguous.
-        ws = np.empty((4, _BATCH_SYMBOLS))
-        for batch in my_batches:
-            n = size(batch)
-            rng = np.random.default_rng((cfg.seed, batch))
-            _fill_rows(rho, snr, rng, ws[:, :n], moments[batch])
+    # Stream w runs batches w, w + workers, ... in one workspace, refilled in
+    # place; a partial batch uses the first columns, so every row stays
+    # contiguous. A failure stops the other streams at their next batch and
+    # is re-raised once all have stopped.
+    workers = min(_MAX_WORKERS, batches, _available_cpus())
+    errors: list[BaseException] = []
 
-    _run_streams(batches, stream)
+    def stream(start: int) -> None:
+        try:
+            ws = np.empty((4, _BATCH_SYMBOLS))
+            for batch in range(start, batches, workers):
+                if errors:
+                    return
+                rng = np.random.default_rng((cfg.seed, batch))
+                _fill_rows(rho, snr, rng, ws[:, :size(batch)], moments[batch])
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=stream, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    stream(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
     acc: _Moments = (0, np.zeros(5), np.zeros(5))
     for batch in range(batches):
@@ -269,6 +261,8 @@ def simulate_uncoded(source: SourceParams, p: float, n0: float, cfg: SimConfig) 
     # Means at unit variance and unit power; only the report is scaled.
     d1, d2, p1, p2, cross = mean.tolist()
     se_d1, se_d2, se_p1, se_p2, _ = stderr.tolist()
+    d_u = _uncoded_unit(rho, snr)
+    z1, z2 = ((d - d_u) / se if se > 0.0 else None for d, se in ((d1, se_d1), (d2, se_d2)))
     s2 = source.sigma2
     return SimReport(
         d1_hat=d1 * s2,
@@ -283,4 +277,7 @@ def simulate_uncoded(source: SourceParams, p: float, n0: float, cfg: SimConfig) 
         p1_flagged=p1 > 1.0 + 4.0 * se_p1,
         p2_flagged=p2 > 1.0 + 4.0 * se_p2,
         total_symbols=cfg.symbols,
+        d_uncoded=s2 * d_u,
+        z1=z1,
+        z2=z2,
     )

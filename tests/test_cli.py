@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import math
 import os
@@ -281,6 +282,36 @@ class TestSimulate:
         assert code == 1
         assert "disagrees" in err
 
+    @pytest.mark.parametrize("z, code", [(4.0, 0), (-4.0, 0), (None, 0), (math.nextafter(4.0, 5.0), 1)])
+    def test_exits_one_only_beyond_four(self, monkeypatch, z, code):
+        # No seed lands on |z| = 4 exactly, so the report is edited.
+        real = simulate.simulate_uncoded
+        monkeypatch.setattr(simulate, "simulate_uncoded", lambda *args: dataclasses.replace(real(*args), z2=z))
+        assert run_inprocess([*SIMULATE, "--symbols", "1000"])[0] == code
+
+    def test_subnormal_variance_z_is_the_unit_variance_z(self):
+        # d1_hat keeps about 5 bits at sigma2 = 2e-322, but z is formed
+        # from the unit-variance statistics: the sigma2 = 1 run's, bit for bit.
+        runs = [run_inprocess([
+            "simulate", "--sigma2", sigma2, "--rho", "0.5", "--p", "1", "--n", "1",
+            "--symbols", "100000", "--seed", "1", "--json",
+        ]) for sigma2 in ("2e-322", "1")]
+        assert [code for code, _, _ in runs] == [0, 0]
+        tiny, unit = (json.loads(out, parse_constant=_reject_constant) for _, out, _ in runs)
+        assert tiny["d1_hat"] < tiny["d_uncoded"]
+        assert (tiny["z1"], tiny["z2"]) == (unit["z1"], unit["z2"])
+
+    def test_one_symbol_has_no_z(self):
+        # One symbol has no spread, so there is no z to audit: null in
+        # JSON, no line in text, exit 0.
+        args = [*SIMULATE, "--symbols", "1"]
+        (code, text, err), (json_code, out, _) = run_inprocess(args), run_inprocess([*args, "--json"])
+        assert code == json_code == 0
+        assert err == ""
+        assert '"z1": null, "z2": null' in out
+        json.loads(out, parse_constant=_reject_constant)
+        assert not [line for line in text.splitlines() if line.startswith(("z1 ", "z2 "))]
+
     @pytest.mark.parametrize("sigma2", ["1e200", "1e-300", "1.7e308"])
     def test_extreme_variance_matches_formula(self, sigma2):
         code, out, err = run_inprocess([
@@ -484,14 +515,15 @@ def _reject_constant(name):
 
 class TestNoTraceback:
     """No finite input makes the CLI raise: every run ends in exit 0, 1 or 2,
-    and no reported number is nan. `rd`, `bound` and `sweep` print strict
-    JSON, with no Infinity either."""
+    and no reported number is nan. `rd`, `bound`, `simulate` and `sweep`
+    print strict JSON, with no Infinity either, wherever they print a
+    report: at exit 0, and for `simulate` at exit 1 as well."""
 
     @staticmethod
     def exit_code(args, strict=False):
         code, out, _ = run_inprocess([*args, "--json"])
         assert "NaN" not in out
-        if strict and code == 0:
+        if strict and code in (0, 1):
             json.loads(out, parse_constant=_reject_constant)
         return code
 
@@ -507,11 +539,13 @@ class TestNoTraceback:
 
     @settings(max_examples=150, deadline=None)
     @given(sigma2=ANY, rho=ANY, p=ANY, n=ANY, symbols=st.integers(1, 1000), seed=st.integers(0, 2 ** 64 - 1))
+    @example(sigma2=1.0, rho=0.5, p=1.0, n=1.0, symbols=1, seed=3)  # no spread
+    @example(sigma2=2e-322, rho=0.5, p=1.0, n=1.0, symbols=1000, seed=1)  # stderr_d1 rounds to 0
     def test_simulate(self, sigma2, rho, p, n, symbols, seed):
         code = self.exit_code([
             "simulate", "--sigma2", sigma2, "--rho", rho, "--p", p, "--n", n,
             "--symbols", symbols, "--seed", seed,
-        ])
+        ], strict=True)
         assert code in (0, 1, 2)
 
     @settings(max_examples=100, deadline=None)

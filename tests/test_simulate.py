@@ -381,7 +381,8 @@ def _log2_uniform(lo: int, hi: int):
 class TestScaling:
     """The run depends on p and n0 through p / n0 alone and scales by sigma2
     and p at the end, so power-of-two scalings move only the scaled fields,
-    and those by exactly the factor."""
+    and those by exactly the factor; z1 and z2 come from the unit-variance
+    statistics, so neither scaling moves them."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -403,12 +404,14 @@ class TestScaling:
         for key in ("p1_hat", "p2_hat", "stderr_p1", "stderr_p2"):
             expected[key] = math.ldexp(base[key], k)
         assert dataclasses.asdict(scaled) == expected
+        assert (scaled.z1, scaled.z2) == (base["z1"], base["z2"])
 
         scaled = simulate_uncoded(SourceParams(math.ldexp(sigma2, j), rho), p, n0, cfg)
         expected = dict(base)
-        for key in ("d1_hat", "d2_hat", "stderr_d1", "stderr_d2"):
+        for key in ("d1_hat", "d2_hat", "stderr_d1", "stderr_d2", "d_uncoded"):
             expected[key] = math.ldexp(base[key], j)
         assert dataclasses.asdict(scaled) == expected
+        assert (scaled.z1, scaled.z2) == (base["z1"], base["z2"])
 
 
 class TestStreams:
