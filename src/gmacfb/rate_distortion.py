@@ -18,9 +18,13 @@ in so that the function is total and symmetric under swapping (d1, d2),
 which equality of the component variances forces anyway. Targets above the
 source variance are equivalent to the variance itself (estimating by the
 mean already achieves it), so they are clamped before classification.
-The region inequalities live once, in `_regions`, which takes floats or
-arrays; `classify_region`, `joint_rd` and the verify suite read its masks.
-The rates depend on the targets only through d / sigma2 and are computed
+The region inequalities live once, in `_regions`, and the three branch
+formulas once, in `_joint_rd_unit`; both take floats or arrays.
+`classify_region`, the kernel, `joint_rd` (where the product of the targets
+underflows) and the verify suite's partition check read the masks.
+`joint_rd` calls the kernel on floats, and the verify suite's dominance
+check on chunks of its grid; numpy is imported only in the array path. The
+rates depend on the targets only through d / sigma2 and are computed
 from it, so no sigma2^2 is ever formed.
 """
 
@@ -92,38 +96,84 @@ def classify_region(source: SourceParams, d: DistortionPair) -> Region:
     return Region.A if in_a else Region.C if in_c else Region.B
 
 
+def _joint_rd_unit(rho: float, d1, d2):
+    """R(d1, d2) in bits at unit targets: the one copy of the three branch
+    formulas. d1, d2 are floats, or ndarrays of one shape, in (0, 1] with
+    d1 d2 in the normal range, and 0 <= rho < 1; `joint_rd` takes the rest.
+    An array holding a point outside that domain raises ParameterError.
+
+    Each element of an array result equals the float result bit for bit:
+    each branch takes the same operations on an array's points in its
+    region as on a float, sqrt is correctly rounded in both paths, and
+    every log is math.log2's (np.log2 can differ from it by an ulp).
+    """
+    scalar = isinstance(d1, float)
+    if not scalar:
+        import numpy as np  # here, so that importing the package loads no numpy
+
+        # d1 > 0 and a positive product d1 d2 also make d2 positive.
+        inside = ((d1 > 0.0) & (d1 <= 1.0) & (d2 <= 1.0)).all()
+        if not (0.0 <= rho < 1.0 and inside and (d1 * d2 >= sys.float_info.min).all()):
+            raise ParameterError("unit targets must lie in (0, 1] with a normal product, and rho in [0, 1)")
+    in_a, in_c = _regions(rho, d1, d2)
+    if scalar:
+        sqrt, smaller = math.sqrt, min
+        parts = (("C" if in_c else "A" if in_a else "B", d1, d2),)
+    else:
+        sqrt, smaller = np.sqrt, np.minimum
+        masks = {"C": in_c, "A": in_a, "B": (in_a | in_c) ^ True}
+        parts = [(region, d1[mask], d2[mask]) for region, mask in masks.items()]
+        ratios = np.empty(np.shape(d1))
+    cond_var = _one_minus_rho2(rho)
+    # Each branch forms the argument of 0.5 * log2 at the points in its region.
+    for region, x1, x2 in parts:
+        if region == "C":
+            ratio = 1.0 / smaller(x1, x2)
+        elif region == "A":
+            ratio = cond_var / (x1 * x2)
+        else:
+            # den = x1 x2 - gap^2 with gap = rho - q, q = sqrt((1 - x1)(1 - x2)).
+            # Written so, it cancels to nothing as rho -> 1. As the product
+            # (a - gap)(a + gap), a = sqrt(x1 x2), each factor is formed from
+            # terms that do not cancel: 1 - q = (x1 + x2 - x1 x2) / (1 + q), and
+            # a - gap = (1 - rho) - (1 - a - q), where (a + q)^2 + w^2 = 1 for
+            # w = sqrt(x1 (1 - x2)) - sqrt(x2 (1 - x1)).
+            q = sqrt((1.0 - x1) * (1.0 - x2))
+            gap = (x1 + x2 - x1 * x2) / (1.0 + q) - (1.0 - rho)
+            w = sqrt(x1 * (1.0 - x2)) - sqrt(x2 * (1.0 - x1))
+            den = ((1.0 - rho) - w * w / (1.0 + sqrt(1.0 - w * w))) * (sqrt(x1 * x2) + gap)
+            if den <= 0.0 if scalar else (den <= 0.0).any():
+                raise ArithmeticError("inconsistent region evaluation")
+            ratio = cond_var / den
+        if scalar:
+            return 0.5 * math.log2(ratio)
+        ratios[masks[region]] = ratio
+    return 0.5 * np.array([math.log2(x) for x in ratios.ravel().tolist()]).reshape(ratios.shape)
+
+
 def joint_rd(source: SourceParams, d: DistortionPair) -> float:
     """Joint rate-distortion function R(d1, d2) in bits per source pair."""
     rho, s2 = source.rho, source.sigma2
     d1, d2 = _unit_targets(source, d)
-    cond_var = _one_minus_rho2(rho)
-    in_a, in_c = _regions(rho, d1, d2)
-    if in_c or rho >= 1.0:
+    if rho < 1.0 and d1 * d2 >= sys.float_info.min:
+        return _joint_rd_unit(rho, d1, d2)
+    # Left: rho = 1, or a product of the targets below the normal range,
+    # where a target's log may need d and sigma2 (_log2_inverse).
+    if rho >= 1.0 or not _regions(rho, d1, d2)[0]:
         # At rho = 1 the components are identical: describing the one with
         # the tighter target covers the other. The region-B formula
         # degenerates to 0/0 on the diagonal there, and this is its
         # continuity limit. Region A is empty at rho = 1 (in floats, it
-        # holds only both targets underflowed to 0).
+        # holds only both targets underflowed to 0). Below rho = 1 this is
+        # region C.
         return 0.5 * _log2_inverse(*min((d1, d.d1), (d2, d.d2)), s2)
-    if in_a:
-        prod = d1 * d2
-        if prod < sys.float_info.min:
-            # The product underflows; sum the logs instead.
-            return 0.5 * (_log2_inverse(d1, d.d1, s2) + _log2_inverse(d2, d.d2, s2) + math.log2(cond_var))
-        return 0.5 * math.log2(cond_var / prod)
-    # Region B. den = d1 d2 - gap^2 with gap = rho - q, q = sqrt((1 - d1)(1 - d2)).
-    # Written so, it cancels to nothing as rho -> 1. As the product
-    # (a - gap)(a + gap), a = sqrt(d1 d2), each factor is formed from
-    # terms that do not cancel: 1 - q = (d1 + d2 - d1 d2) / (1 + q), and
-    # a - gap = (1 - rho) - (1 - a - q), where (a + q)^2 + w^2 = 1 for
-    # w = sqrt(d1 (1 - d2)) - sqrt(d2 (1 - d1)).
-    q = math.sqrt((1.0 - d1) * (1.0 - d2))
-    gap = (d1 + d2 - d1 * d2) / (1.0 + q) - (1.0 - rho)
-    w = math.sqrt(d1 * (1.0 - d2)) - math.sqrt(d2 * (1.0 - d1))
-    den = ((1.0 - rho) - w * w / (1.0 + math.sqrt(1.0 - w * w))) * (math.sqrt(d1 * d2) + gap)
-    if den <= 0.0:
-        raise ArithmeticError("inconsistent region evaluation")
-    return 0.5 * math.log2(cond_var / den)
+    # Region A: the product underflows, so sum the logs instead. Region B
+    # is empty here. Outside A the larger target is at least 2^-60 (else
+    # d1 + d2 < 2^-59 < 1 - rho^2, which is at least 2^-53), so the
+    # smaller is below 2^-962. Adding it to the larger, or rho^2 times it
+    # to 1 - rho^2, rounds to no change. So outside A the larger target
+    # exceeds 1 - rho^2, and outside C it does not.
+    return 0.5 * (_log2_inverse(d1, d.d1, s2) + _log2_inverse(d2, d.d2, s2) + math.log2(_one_minus_rho2(rho)))
 
 
 def conditional_rd(source: SourceParams, d: float) -> float:

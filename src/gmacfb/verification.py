@@ -11,7 +11,9 @@ two bisections that evaluate the rate conditions as written: the sum-rate
 cap rises and the user caps fall along the grid. Its grid points are formed
 on demand, as `np.linspace` forms them, and the endpoint grid minimax runs
 in place, so the criteria that do not run the simulator allocate less than
-its workspaces.
+its workspaces. The rate-distortion dominance check evaluates the joint
+rate on its grid by the library's kernel, `_joint_rd_unit`, one chunk of a
+few thousand points per call, bit for bit as scalar `joint_rd` would.
 """
 
 from __future__ import annotations
@@ -38,7 +40,14 @@ from .bounds import (
     uncoded_distortion,
 )
 from .model import ChannelParams, DistortionPair, SourceParams, snr_threshold
-from .rate_distortion import _regions, conditional_rd, diagonal_branch_rate, joint_rd, symmetric_joint_rd_inverse
+from .rate_distortion import (
+    _joint_rd_unit,
+    _regions,
+    conditional_rd,
+    diagonal_branch_rate,
+    joint_rd,
+    symmetric_joint_rd_inverse,
+)
 from .simulate import SimConfig, simulate_uncoded
 
 MC_SEED_BASE = 7000
@@ -68,6 +77,10 @@ class Scale:
 # which cost microseconds.
 MINIMAX_POINTS = 100_000
 BOUNDARY_POINTS = 25
+# Grid points per joint-rate kernel call in `rd_properties`: a call's fixed
+# cost is spread over many points, and its temporaries stay a few tens of
+# KiB, where the whole grid's would raise the criterion's peak.
+_RD_CHUNK = 4096
 
 SCALES = {
     "quick": Scale(
@@ -374,7 +387,13 @@ def _partition_problems(rho: float, d1: np.ndarray, d2: np.ndarray) -> list[str]
 
 def rd_properties(scale: Scale) -> CriterionResult:
     """Partition uniqueness, branch continuity, conditional-rate dominance
-    and the diagonal inverse round trip."""
+    and the diagonal inverse round trip.
+
+    The dominance check takes the joint rate at the grid's points from
+    `_joint_rd_unit`, one call per `_RD_CHUNK` points, whose values equal
+    scalar `joint_rd`'s bit for bit; it reports the first point per
+    correlation where the joint rate falls below the larger conditional
+    rate."""
     g = scale.rd_grid
     d_axis = np.arange(1, g + 1) / g
     d1, d2 = (axis.ravel() for axis in np.meshgrid(d_axis, d_axis))
@@ -384,12 +403,16 @@ def rd_properties(scale: Scale) -> CriterionResult:
     for rho in (0.35, 0.5):
         source = SourceParams(1.0, rho)
         cond = np.array([conditional_rd(source, dv) for dv in d_axis.tolist()])
-        pairs = zip(map(float, d1), map(float, d2))
-        joint = np.fromiter((joint_rd(source, DistortionPair(a, b)) for a, b in pairs), float, len(d1))
         # max(cond[d1], cond[d2]) at each point; the outer max is symmetric.
         dom = np.maximum.outer(cond, cond).ravel()
-        for i in np.flatnonzero(joint < dom - 1e-12)[:1]:
-            problems.append(f"rho={rho} d=({d1[i]:.4f},{d2[i]:.4f}): joint {joint[i]} < conditional {dom[i]}")
+        for start in range(0, d1.size, _RD_CHUNK):
+            part = slice(start, start + _RD_CHUNK)
+            joint = _joint_rd_unit(rho, d1[part], d2[part])
+            low = np.flatnonzero(joint < dom[part] - 1e-12)
+            if low.size:
+                j, i = low[0], start + low[0]
+                problems.append(f"rho={rho} d=({d1[i]:.4f},{d2[i]:.4f}): joint {joint[j]} < conditional {dom[i]}")
+                break
 
     # Branch continuity on sampled boundary points.
     for rho in (0.35, 0.75):

@@ -17,6 +17,7 @@ endpoint-threshold criteria, which pass.
 
 import dataclasses
 import math
+import struct
 import sys
 import threading
 import tracemalloc
@@ -379,6 +380,39 @@ def test_feasibility_oracle_memory_holds_no_grid():
     assert peak < 2 ** 16
 
 
+class _EveryFloat:
+    """Every double in [0, 1], in order: item i has the bit pattern i."""
+
+    def __len__(self):
+        return 0x3FF0000000000000 + 1
+
+    def __getitem__(self, i):
+        return struct.unpack("<d", struct.pack("<q", i))[0]
+
+
+def test_feasibility_interval_contains_the_span_at_float_resolution():
+    # One-sided at float resolution: on the oracle's instances the verdicts
+    # agree, and the closed-form interval holds every float where the three
+    # rate conditions hold as written. About 60 probes per bisection.
+    grid = _EveryFloat()
+    assert grid[0] == 0.0 and grid[len(grid) - 1] == 1.0 and grid[1] == 5e-324
+    rng = np.random.default_rng(424242)
+    feasible = 0
+    for i in range(500):
+        source, channel, pair = verification._oracle_instance(rng)
+        res = bounds.check_feasibility(source, channel, pair)
+        first, last = verification._feasible_span(grid, (
+            channel.p1, channel.p2, channel.n0,
+            joint_rd(source, pair), conditional_rd(source, pair.d1), conditional_rd(source, pair.d2),
+        ))
+        assert res.feasible == (first >= 0), i
+        if res.feasible:
+            feasible += 1
+            lo, hi = res.rho_interval
+            assert lo <= grid[first] and grid[last] <= hi, (i, res.rho_interval, grid[first], grid[last])
+    assert feasible > 200
+
+
 @pytest.mark.parametrize("n", [2, 3, 10_001, 100_001])
 def test_linspace_grid_is_np_linspace_at_every_index(n):
     grid = verification._LinspaceGrid(n)
@@ -440,14 +474,16 @@ def test_rd_properties_reports_a_mislabelled_point(monkeypatch):
 
 
 def test_rd_properties_reports_a_joint_rate_below_a_conditional_rate(monkeypatch):
-    real = verification.joint_rd
+    # The dominance check reads the joint-rate kernel chunk by chunk; its
+    # rate at (0.5, 0.25) is lowered below the conditional rate there.
+    real = verification._joint_rd_unit
 
-    def low_at_one_point(source, pair):
-        if (pair.d1, pair.d2) == (0.5, 0.25):
-            return conditional_rd(source, 0.25) - 1e-9
-        return real(source, pair)
+    def low_at_one_point(rho, d1, d2):
+        joint = real(rho, d1, d2)
+        joint[(d1 == 0.5) & (d2 == 0.25)] = conditional_rd(SourceParams(1.0, rho), 0.25) - 1e-9
+        return joint
 
-    monkeypatch.setattr(verification, "joint_rd", low_at_one_point)
+    monkeypatch.setattr(verification, "_joint_rd_unit", low_at_one_point)
     result = verification.rd_properties(SCALES["quick"])
     assert not result.passed
     assert "rho=0.35 d=(0.5000,0.2500): joint" in result.detail

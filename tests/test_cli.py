@@ -678,6 +678,15 @@ class TestPackageSurface:
         assert gmacfb.DEFAULT_SEED is simulate.DEFAULT_SEED == 123456789
         assert gmacfb.simulate_uncoded is simulate.simulate_uncoded
 
+    def test_no_module_imports_sympy(self):
+        # sympy certifies identities in the tests only; the package and
+        # verify run without it, lazy imports included.
+        for path in Path(gmacfb.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                names = [a.name for a in node.names] if isinstance(node, ast.Import) else \
+                    [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+                assert not any(name.split(".")[0] == "sympy" for name in names), path.name
+
     def test_star_import_binds_all(self):
         namespace = {}
         exec("from gmacfb import *", namespace)

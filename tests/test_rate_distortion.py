@@ -1,5 +1,6 @@
 import decimal
 import math
+import sys
 from decimal import Decimal
 
 import numpy as np
@@ -19,7 +20,7 @@ from gmacfb import (
     joint_rd,
     symmetric_joint_rd_inverse,
 )
-from gmacfb.rate_distortion import _regions
+from gmacfb.rate_distortion import _joint_rd_unit, _regions
 
 HALF = SourceParams(1.0, 0.5)
 
@@ -184,6 +185,10 @@ class TestJointRd:
                 expected = 0.5 * math.log2(1.0 / min(d1, d2, 1.0))
                 assert got == pytest.approx(expected, abs=1e-12)
         assert joint_rd(src, DistortionPair(1.0, 1.0)) == 0.0
+        # Both unit targets underflow to 0, where region A's test holds in
+        # floats: still the tighter target's rate, from d and sigma2.
+        huge = SourceParams(1e300, 1.0)
+        assert joint_rd(huge, DistortionPair(1e-300, 2e-300)) == pytest.approx(300 * math.log2(10.0), rel=1e-14)
 
     def test_nonincreasing_in_each_argument(self):
         for rho in (0.0, 0.2, 0.5, 0.8, 0.95, 1.0):
@@ -393,3 +398,69 @@ class TestJointRdDomain:
         d1, d2 = _pair(sigma2, u1, u2)
         floor = max(conditional_rd(src, d1), conditional_rd(src, d2))
         assert joint_rd(src, DistortionPair(d1, d2)) >= floor - 1e-12
+
+
+def _scalar_joint(rho, d1, d2):
+    """joint_rd at unit variance, point by point: the float path."""
+    source = SourceParams(1.0, rho)
+    return [joint_rd(source, DistortionPair(a, b)) for a, b in zip(d1.tolist(), d2.tolist())]
+
+
+# Log-uniform over the normal range, or over [1e-3, 1], where region B lies.
+_UNIT_TARGET = log_uniform(-307.6, 0.0) | log_uniform(-3.0, 0.0)
+
+
+class TestJointRdKernelOnArrays:
+    """The array path of the joint-rate kernel returns the float path's
+    bits, and raises on any point outside its domain."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rho=st.floats(0.0, 1.0, exclude_max=True) | st.floats(-12.0, -1.0).map(lambda e: 1.0 - 10.0 ** e),
+        ds=st.lists(st.tuples(_UNIT_TARGET, _UNIT_TARGET), min_size=1, max_size=40),
+    )
+    @example(rho=0.5, ds=[(0.5, 0.5), (0.2, 0.8), (0.8, 0.2), (1.0, 1.0), (0.5, 0.6), (0.3, 0.3)])
+    def test_equals_scalar_joint_rd(self, rho, ds):
+        # The points whose product falls below the normal range belong to
+        # joint_rd alone.
+        d1, d2 = np.array(ds).T
+        keep = d1 * d2 >= sys.float_info.min
+        d1, d2 = d1[keep], d2[keep]
+        assert _joint_rd_unit(rho, d1, d2).tolist() == _scalar_joint(rho, d1, d2)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.35, 0.5, 0.75, 0.99])
+    def test_equals_scalar_joint_rd_on_the_full_scale_grid(self, rho):
+        # The grid of the rd-properties criterion at full scale.
+        d_axis = np.arange(1, 201) / 200
+        d1, d2 = (axis.ravel() for axis in np.meshgrid(d_axis, d_axis))
+        assert _joint_rd_unit(rho, d1, d2).tolist() == _scalar_joint(rho, d1, d2)
+
+    @pytest.mark.parametrize("rho", [0.35, 0.75])
+    def test_equals_scalar_joint_rd_on_the_region_boundaries(self, rho):
+        # The A/B and B/C boundary points of the continuity check in
+        # rd-properties, in both orders.
+        cva = 1.0 - rho * rho
+        t = np.linspace(0.05, 0.95, 25) * cva
+        u = np.linspace(0.05, 1.0, 25)
+        d1 = np.concatenate([t, u])
+        d2 = np.concatenate([(cva - t) / (1.0 - t), cva + rho * rho * u])
+        d1, d2 = np.concatenate([d1, d2]), np.concatenate([d2, d1])
+        assert _joint_rd_unit(rho, d1, d2).tolist() == _scalar_joint(rho, d1, d2)
+
+    def test_takes_a_product_at_the_edge_of_the_normal_range(self):
+        d = np.array([2.0 ** -511, 0.5])
+        assert _joint_rd_unit(0.5, d, d).tolist() == _scalar_joint(0.5, d, d)
+
+    @pytest.mark.parametrize("point", [(0.0, 0.5), (0.5, 0.0), (-0.5, 0.5), (-0.5, -0.5), (1.5, 0.5), (math.nan, 0.5), (0.5, math.inf),
+                                       (1e-200, 1e-200), (5e-324, 0.5), (1e-300, 1e-10)])
+    def test_raises_outside_its_domain(self, point):
+        # Targets outside (0, 1], or a product below the normal range: the
+        # array path raises rather than return a wrong number. joint_rd
+        # takes these points itself.
+        d1, d2 = np.array([(0.3, 0.3), point, (0.5, 0.6)]).T
+        with pytest.raises(ParameterError):
+            _joint_rd_unit(0.5, d1, d2)
+
+    def test_raises_at_full_correlation(self):
+        with pytest.raises(ParameterError):
+            _joint_rd_unit(1.0, np.array([0.3, 0.5]), np.array([0.3, 0.6]))
