@@ -148,7 +148,9 @@ def _joint_rd_unit(rho: float, d1, d2):
         if scalar:
             return 0.5 * math.log2(ratio)
         ratios[masks[region]] = ratio
-    return 0.5 * np.array([math.log2(x) for x in ratios.ravel().tolist()]).reshape(ratios.shape)
+    # math.log2 reads the points one at a time: a list of a chunk's floats
+    # would churn the object heap, and the process keeps what that grows.
+    return 0.5 * np.fromiter(map(math.log2, ratios.ravel()), float, ratios.size).reshape(ratios.shape)
 
 
 def joint_rd(source: SourceParams, d: DistortionPair) -> float:

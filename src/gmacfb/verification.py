@@ -40,14 +40,8 @@ from .bounds import (
     uncoded_distortion,
 )
 from .model import ChannelParams, DistortionPair, SourceParams, snr_threshold
-from .rate_distortion import (
-    _joint_rd_unit,
-    _regions,
-    conditional_rd,
-    diagonal_branch_rate,
-    joint_rd,
-    symmetric_joint_rd_inverse,
-)
+from .rate_distortion import (_joint_rd_unit, _regions, conditional_rd, diagonal_branch_rate, joint_rd,
+                              symmetric_joint_rd_inverse)
 from .simulate import SimConfig, simulate_uncoded
 
 MC_SEED_BASE = 7000
@@ -387,13 +381,9 @@ def _partition_problems(rho: float, d1: np.ndarray, d2: np.ndarray) -> list[str]
 
 def rd_properties(scale: Scale) -> CriterionResult:
     """Partition uniqueness, branch continuity, conditional-rate dominance
-    and the diagonal inverse round trip.
-
-    The dominance check takes the joint rate at the grid's points from
-    `_joint_rd_unit`, one call per `_RD_CHUNK` points, whose values equal
-    scalar `joint_rd`'s bit for bit; it reports the first point per
-    correlation where the joint rate falls below the larger conditional
-    rate."""
+    and the diagonal inverse round trip. The dominance check takes the joint
+    rate from `_joint_rd_unit`, one call per `_RD_CHUNK` grid points, bit
+    for bit as scalar `joint_rd` gives it."""
     g = scale.rd_grid
     d_axis = np.arange(1, g + 1) / g
     d1, d2 = (axis.ravel() for axis in np.meshgrid(d_axis, d_axis))

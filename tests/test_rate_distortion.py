@@ -451,12 +451,14 @@ class TestJointRdKernelOnArrays:
         d = np.array([2.0 ** -511, 0.5])
         assert _joint_rd_unit(0.5, d, d).tolist() == _scalar_joint(0.5, d, d)
 
-    @pytest.mark.parametrize("point", [(0.0, 0.5), (0.5, 0.0), (-0.5, 0.5), (-0.5, -0.5), (1.5, 0.5), (math.nan, 0.5), (0.5, math.inf),
-                                       (1e-200, 1e-200), (5e-324, 0.5), (1e-300, 1e-10)])
+    @pytest.mark.parametrize("point", [
+        (0.0, 0.5), (0.5, 0.0), (-0.5, 0.5), (-0.5, -0.5), (1.5, 0.5), (math.nan, 0.5), (0.5, math.inf),
+        (1e-200, 1e-200), (5e-324, 0.5), (1e-300, 1e-10),
+    ])
     def test_raises_outside_its_domain(self, point):
         # Targets outside (0, 1], or a product below the normal range: the
         # array path raises rather than return a wrong number. joint_rd
-        # takes these points itself.
+        # takes the last three itself.
         d1, d2 = np.array([(0.3, 0.3), point, (0.5, 0.6)]).T
         with pytest.raises(ParameterError):
             _joint_rd_unit(0.5, d1, d2)
