@@ -98,9 +98,10 @@ def classify_region(source: SourceParams, d: DistortionPair) -> Region:
 
 def _joint_rd_unit(rho: float, d1, d2):
     """R(d1, d2) in bits at unit targets: the one copy of the three branch
-    formulas. d1, d2 are floats, or ndarrays of one shape, in (0, 1] with
-    d1 d2 in the normal range, and 0 <= rho < 1; `joint_rd` takes the rest.
-    An array holding a point outside that domain raises ParameterError.
+    formulas. d1, d2 are floats, or 1-D ndarrays of one length, in (0, 1]
+    with d1 d2 in the normal range, and 0 <= rho < 1; `joint_rd` takes the
+    rest. An array holding a point outside that domain raises
+    ParameterError.
 
     Each element of an array result equals the float result bit for bit:
     each branch takes the same operations on an array's points in its
@@ -123,7 +124,7 @@ def _joint_rd_unit(rho: float, d1, d2):
         sqrt, smaller = np.sqrt, np.minimum
         masks = {"C": in_c, "A": in_a, "B": (in_a | in_c) ^ True}
         parts = [(region, d1[mask], d2[mask]) for region, mask in masks.items()]
-        ratios = np.empty(np.shape(d1))
+        ratios = np.empty(d1.size)
     cond_var = _one_minus_rho2(rho)
     # Each branch forms the argument of 0.5 * log2 at the points in its region.
     for region, x1, x2 in parts:
@@ -150,7 +151,7 @@ def _joint_rd_unit(rho: float, d1, d2):
         ratios[masks[region]] = ratio
     # math.log2 reads the points one at a time: a list of a chunk's floats
     # would churn the object heap, and the process keeps what that grows.
-    return 0.5 * np.fromiter(map(math.log2, ratios.ravel()), float, ratios.size).reshape(ratios.shape)
+    return 0.5 * np.fromiter(map(math.log2, ratios), float, ratios.size)
 
 
 def joint_rd(source: SourceParams, d: DistortionPair) -> float:
