@@ -189,10 +189,11 @@ def _sum_rate_unit(rho: float, snr: float, t: float) -> tuple[float, float]:
     return value, value * snr / den
 
 
-def _single_user_unit(rho: float, snr: float, v: float) -> float:
-    """Unit-variance single-user curve at v = 1 - rho_tilde^2; the one copy
-    of the formula."""
-    return _one_minus_rho2(rho) / (1.0 + snr * v)
+def _single_user_unit(a: float, snr: float, v: float) -> float:
+    """Unit-variance single-user curve at v = 1 - rho_tilde^2, given
+    a = 1 - rho^2 (`_one_minus_rho2`, formed once by the caller); the one
+    copy of the formula."""
+    return a / (1.0 + snr * v)
 
 
 def _uncoded_unit(rho: float, snr: float) -> float:
@@ -222,7 +223,7 @@ def single_user_curve(source: SourceParams, p: float, n0: float, rho_tilde: floa
     """
     rt = _check_rho_tilde(rho_tilde)
     snr = _check_power_noise(p, n0)
-    return source.sigma2 * _single_user_unit(source.rho, snr, 1.0 - rt * rt)
+    return source.sigma2 * _single_user_unit(_one_minus_rho2(source.rho), snr, 1.0 - rt * rt)
 
 
 def endpoint_snr_threshold(source: SourceParams) -> float:
@@ -266,16 +267,17 @@ def minimax_lower_bound(source: SourceParams, p: float, n0: float) -> BoundResul
         return BoundResult(hi_value, 1.0, "endpoint")
 
     rho = source.rho
+    a = _one_minus_rho2(rho)
     # Newton on g(w) = S - U in w = 1 - rho_tilde, where S and U are the
     # unit curves, kept inside the bracket [lo, hi] with g(lo) < 0 < g(hi).
     # The start is the crossing's high-SNR asymptote.
     lo, hi = 0.0, 1.0
-    w = min(math.sqrt(_one_minus_rho2(rho) / snr), 0.5)
+    w = min(math.sqrt(a / snr), 0.5)
     for _ in range(_NEWTON_CAP):
         if not lo < w < hi:
             w = 0.5 * (lo + hi)
         t, v = 2.0 - w, w * (2.0 - w)
-        (upper, d_upper), lower = _sum_rate_unit(rho, snr, t), _single_user_unit(rho, snr, v)
+        (upper, d_upper), lower = _sum_rate_unit(rho, snr, t), _single_user_unit(a, snr, v)
         g = upper - lower
         if g < 0.0:
             lo = w
@@ -284,17 +286,23 @@ def minimax_lower_bound(source: SourceParams, p: float, n0: float) -> BoundResul
         else:
             break
         step = g / (d_upper + 2.0 * snr * (1.0 - w) * lower / (1.0 + snr * v))
-        if abs(step) <= 2.0 * math.ulp(w) or 0.5 * (lo + hi) in (lo, hi):
+        if abs(step) <= 2.0 * math.ulp(w) or not lo < 0.5 * (lo + hi) < hi:
             break
         w -= step
     return BoundResult(source.sigma2 * upper, 1.0 - w, "crossing")
+
+
+def _at_or_below(snr: float, threshold: float) -> bool:
+    """snr <= threshold up to the relative slack _THRESHOLD_RTOL; the one
+    copy of the rule. Callers validate snr."""
+    return snr <= threshold * (1.0 + _THRESHOLD_RTOL)
 
 
 def below_snr_threshold(source: SourceParams, p: float, n0: float) -> bool:
     """True when p/n0 is at or below the uncoded-optimality threshold
     (with a 1e-12 relative slack so recomputed boundary points count);
     always at rho = 1, where the threshold is infinite."""
-    return _check_power_noise(p, n0) <= snr_threshold(source) * (1.0 + _THRESHOLD_RTOL)
+    return _at_or_below(_check_power_noise(p, n0), snr_threshold(source))
 
 
 def uncoded_distortion(source: SourceParams, p: float, n0: float) -> float:

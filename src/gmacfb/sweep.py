@@ -6,6 +6,11 @@ on the powers through p/n0 alone, so each row is a function of
 (rho, snr, sigma2) only and is evaluated at p = snr, n0 = 1. The dstar
 column is filled only where the SNR is at or below the uncoded-optimality
 threshold; above it the exact optimum is unknown and the cell stays blank.
+
+Each point is validated once, by its minimax_lower_bound call. The text
+of a grid value is formed once per float object and reused for every row
+that holds that object: a table keyed by value would print -0.0 where a
+row holds 0.0, or the reverse, since the two compare equal.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bounds import below_snr_threshold, minimax_lower_bound, uncoded_distortion
+from .bounds import _at_or_below, _uncoded_unit, minimax_lower_bound
 from .model import ParameterError, SourceParams, _check_positive_finite, snr_threshold
 
 __all__ = ["COLUMNS", "SweepSpec", "format_csv", "sweep_rows", "write_sweep_csv"]
@@ -51,15 +56,21 @@ class SweepSpec:
 
 
 def sweep_rows(spec: SweepSpec) -> list[dict]:
-    """Evaluate the grid; one dict per (rho, snr) with all column values."""
+    """Evaluate the grid; one dict per (rho, snr) with all column values.
+
+    Each point is validated once, by its minimax_lower_bound call at
+    p = snr, n0 = 1; the threshold flag and the uncoded distortion then
+    come from their kernels, with the bits of below_snr_threshold and
+    uncoded_distortion at that (p, n0)."""
     rows = []
+    sigma2 = spec.sigma2
     for rho in spec.rho_grid:
-        source = SourceParams(spec.sigma2, rho)
+        source = SourceParams(sigma2, rho)
         thr = snr_threshold(source)
         for snr in spec.snr_grid:
-            below = below_snr_threshold(source, snr, 1.0)
             bound = minimax_lower_bound(source, snr, 1.0)
-            d_u = uncoded_distortion(source, snr, 1.0)
+            below = _at_or_below(snr, thr)
+            d_u = sigma2 * _uncoded_unit(rho, snr)
             rows.append({
                 "rho": rho,
                 "snr": snr,
@@ -75,15 +86,34 @@ def sweep_rows(spec: SweepSpec) -> list[dict]:
 
 def format_csv(rows: list[dict]) -> str:
     """One line per row in COLUMNS order: floats as repr, the flag as
-    true/false, a missing dstar as an empty cell."""
+    true/false, a missing dstar as an empty cell.
+
+    A grid value is formatted once per float object, not once per row: the
+    rho and threshold_snr cells while they are the previous row's objects,
+    the snr cells in a table keyed by object identity, and dstar_or_blank
+    by d_uncoded's text when it is that object. Never by value, since
+    0.0 == -0.0 and the two print differently."""
     lines = [",".join(COLUMNS)]
+    rho = thr = object()  # no row's value
+    # id(snr) -> (snr, its text); holding the object keeps its id unique.
+    snr_cells: dict[int, tuple[float, str]] = {}
     for row in rows:
-        dstar = row["dstar_or_blank"]
+        if row["rho"] is not rho:
+            rho = row["rho"]
+            rho_cell = repr(rho)
+        if row["threshold_snr"] is not thr:
+            thr = row["threshold_snr"]
+            thr_cell = repr(thr)
+        snr = row["snr"]
+        cell = snr_cells.get(id(snr))
+        if cell is None:
+            cell = snr_cells[id(snr)] = (snr, repr(snr))
+        d_u, dstar = row["d_uncoded"], row["dstar_or_blank"]
+        d_cell = repr(d_u)
+        dstar_cell = "" if dstar is None else d_cell if dstar is d_u else repr(dstar)
         lines.append(
-            f"{row['rho']!r},{row['snr']!r},{row['threshold_snr']!r},"
-            f"{'true' if row['below_threshold'] else 'false'},"
-            f"{row['lower_bound']!r},{row['rho_star']!r},{row['d_uncoded']!r},"
-            f"{'' if dstar is None else repr(dstar)}"
+            f"{rho_cell},{cell[1]},{thr_cell},{'true' if row['below_threshold'] else 'false'},"
+            f"{row['lower_bound']!r},{row['rho_star']!r},{d_cell},{dstar_cell}"
         )
     return "\n".join(lines) + "\n"
 

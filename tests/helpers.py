@@ -2,6 +2,7 @@
 
 import decimal
 import io
+import math
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
@@ -9,6 +10,15 @@ from decimal import Decimal
 from hypothesis import strategies as st
 
 from gmacfb import cli
+from gmacfb.bounds import (
+    BoundResult,
+    _NEWTON_CAP,
+    _sum_rate_unit,
+    endpoint_snr_threshold,
+    single_user_curve,
+    sum_rate_curve,
+)
+from gmacfb.model import _check_power_noise, _one_minus_rho2
 
 
 def run_inprocess(args):
@@ -85,3 +95,46 @@ def exact_minimax(rho: float, snr: float, guess: float) -> Decimal:
         eps = w * Decimal("1e-40")
         assert g(w - eps) < 0 < g(w + eps), "crossing not certified"
         return exact_curves(rho, snr, w)[0]
+
+
+def _single_user_unit(rho, snr, v):
+    """The single-user kernel as it was when it took rho, for reference_minimax."""
+    return _one_minus_rho2(rho) / (1.0 + snr * v)
+
+
+def reference_minimax(source, p, n0):
+    """bounds.minimax_lower_bound as it was before 1 - rho^2 was formed once
+    per solve, verbatim, with the single-user kernel above. The bounds'
+    results are pinned to its bits."""
+    snr = _check_power_noise(p, n0)
+
+    if snr <= endpoint_snr_threshold(source):
+        return BoundResult(sum_rate_curve(source, p, n0, 1.0), 1.0, "endpoint")
+
+    upper, lo_value = sum_rate_curve(source, p, n0, 0.0), single_user_curve(source, p, n0, 0.0)
+    if upper <= lo_value:
+        return BoundResult(lo_value, 0.0, "crossing")
+    hi_value, lower = sum_rate_curve(source, p, n0, 1.0), single_user_curve(source, p, n0, 1.0)
+    if hi_value >= lower:
+        return BoundResult(hi_value, 1.0, "endpoint")
+
+    rho = source.rho
+    lo, hi = 0.0, 1.0
+    w = min(math.sqrt(_one_minus_rho2(rho) / snr), 0.5)
+    for _ in range(_NEWTON_CAP):
+        if not lo < w < hi:
+            w = 0.5 * (lo + hi)
+        t, v = 2.0 - w, w * (2.0 - w)
+        (upper, d_upper), lower = _sum_rate_unit(rho, snr, t), _single_user_unit(rho, snr, v)
+        g = upper - lower
+        if g < 0.0:
+            lo = w
+        elif g > 0.0:
+            hi = w
+        else:
+            break
+        step = g / (d_upper + 2.0 * snr * (1.0 - w) * lower / (1.0 + snr * v))
+        if abs(step) <= 2.0 * math.ulp(w) or 0.5 * (lo + hi) in (lo, hi):
+            break
+        w -= step
+    return BoundResult(source.sigma2 * upper, 1.0 - w, "crossing")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from helpers import exact_curves, exact_minimax, log_uniform
+from helpers import exact_curves, exact_minimax, log_uniform, reference_minimax
 
 from gmacfb import (
     BoundResult,
@@ -390,6 +390,21 @@ class TestMinimaxDomain:
         snr = p / n0
         exact = Decimal(sigma2) * exact_minimax(rho, snr, res.lower_bound / sigma2)
         assert abs(Decimal(res.lower_bound) - exact) <= 4 * Decimal(math.ulp(float(exact)))
+
+    @settings(max_examples=400, deadline=None)
+    @given(**DOMAIN)
+    @example(rho=0.0, sigma2=1.0, n0=1.0, snr=5.74643496871595e-17)  # rounding tie at rho = 0
+    # p/n0 near 1e-16, where rounding swamps the curves' difference: the
+    # bracket is closed by halving, 49 times at 1e-15 and once at 3.5e-16.
+    @example(rho=0.0, sigma2=1.0, n0=1.0, snr=1e-15)
+    @example(rho=0.0, sigma2=3.0, n0=1e-50, snr=3.5e-16)
+    @example(rho=0.9999999999999999, sigma2=1.0, n0=1.0, snr=3.27e307)
+    @example(rho=0.5, sigma2=1.0, n0=1.0, snr=1e308)  # 4 p / n0 overflows
+    def test_same_bits_as_the_reference(self, rho, sigma2, n0, snr):
+        # Forming 1 - rho^2 once per solve must leave every iterate, and so
+        # every bit of the result, where the reference has it.
+        src, p = SourceParams(sigma2, rho), snr * n0
+        assert _outcome(minimax_lower_bound, src, p, n0) == _outcome(reference_minimax, src, p, n0)
 
     @settings(max_examples=300, deadline=None)
     @given(**DOMAIN, t1=st.floats(0.0, 1.0), t2=st.floats(0.0, 1.0))

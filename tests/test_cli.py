@@ -456,10 +456,15 @@ class TestSweepCommand:
         assert "--n" in err
         assert not (tmp_path / "x.csv").exists()
 
-    def test_overflowing_snr_is_usage_error(self, tmp_path):
-        assert_usage_error(run_inprocess([
-            "sweep", "--rho-grid", "0.5", "--snr-grid", "1e308", "--out", str(tmp_path / "x.csv"),
-        ]))
+    @pytest.mark.parametrize("snrs", ["1e308", "0.5,4.5e307", "0.5,1e308,2"])
+    def test_overflowing_snr_is_usage_error(self, tmp_path, snrs):
+        # The one error line that the bounds give for such a p / n0, and no file.
+        run = run_inprocess([
+            "sweep", "--rho-grid", "0.0,0.5", "--snr-grid", snrs, "--out", str(tmp_path / "x.csv"),
+        ])
+        assert_usage_error(run)
+        assert run[2] == "error: p / n0 too large: 4 p / n0 overflows\n"
+        assert not (tmp_path / "x.csv").exists()
 
     def test_bad_grid_value_usage_error(self, tmp_path):
         code, _, _ = run_inprocess([

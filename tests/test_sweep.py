@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from gmacfb import (
     ParameterError,
     SourceParams,
     SweepSpec,
+    below_snr_threshold,
     dstar_below_threshold,
     format_csv,
     minimax_lower_bound,
@@ -16,6 +18,21 @@ from gmacfb import (
     uncoded_distortion,
     write_sweep_csv,
 )
+
+
+def reference_format_csv(rows):
+    """format_csv as it was before it formatted each float object once: one
+    f-string per row, every float through repr."""
+    lines = [",".join(COLUMNS)]
+    for row in rows:
+        dstar = row["dstar_or_blank"]
+        lines.append(
+            f"{row['rho']!r},{row['snr']!r},{row['threshold_snr']!r},"
+            f"{'true' if row['below_threshold'] else 'false'},"
+            f"{row['lower_bound']!r},{row['rho_star']!r},{row['d_uncoded']!r},"
+            f"{'' if dstar is None else repr(dstar)}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def test_header_and_shape(tmp_path):
@@ -55,17 +72,32 @@ def test_rho_zero_rows_have_blank_dstar():
 
 def test_rows_match_library_calls():
     # A row holds the library values at any (p, n0) with p / n0 = snr;
-    # 0.2 * 0.5 / 0.5 == 0.2 exactly.
-    spec = SweepSpec(rho_grid=(0.3,), snr_grid=(0.2,), sigma2=2.0)
-    row = sweep_rows(spec)[0]
-    src = SourceParams(2.0, 0.3)
-    for n0 in (1.0, 0.5):
-        p = 0.2 * n0
-        res = minimax_lower_bound(src, p, n0)
-        assert row["lower_bound"] == res.lower_bound
-        assert row["rho_star"] == res.rho_star
-        assert row["d_uncoded"] == uncoded_distortion(src, p, n0)
-        assert row["dstar_or_blank"] == dstar_below_threshold(src, p, n0)
+    # halving p and n0 together keeps the ratio exactly. The grid holds both
+    # zeros, the slackened threshold of rho = 0.3 and the float above it, so
+    # the flag and dstar change between two adjacent SNRs there.
+    thr = snr_threshold(SourceParams(2.5, 0.3))
+    edge = thr * (1.0 + 1e-12)
+    spec = SweepSpec(rho_grid=(0.0, -0.0, 0.3, 0.75),
+                     snr_grid=(1e-3, 0.2, edge, math.nextafter(edge, math.inf), 4.0, 1e3), sigma2=2.5)
+    rows = sweep_rows(spec)
+    assert len(rows) == 24
+    for row in rows:
+        src = SourceParams(2.5, row["rho"])
+        assert row["threshold_snr"] == snr_threshold(src)
+        for n0 in (1.0, 0.5):
+            p = row["snr"] * n0
+            res = minimax_lower_bound(src, p, n0)
+            assert (row["lower_bound"], row["rho_star"]) == (res.lower_bound, res.rho_star)
+            assert row["below_threshold"] is below_snr_threshold(src, p, n0)
+            assert row["d_uncoded"] == uncoded_distortion(src, p, n0)
+            if row["below_threshold"]:
+                assert row["dstar_or_blank"] == dstar_below_threshold(src, p, n0)
+            else:
+                assert row["dstar_or_blank"] is None
+                with pytest.raises(ParameterError, match="above threshold"):
+                    dstar_below_threshold(src, p, n0)
+    flags = [row["below_threshold"] for row in rows if row["rho"] == 0.3]
+    assert flags == [True, True, True, False, False, False]
 
 
 def test_csv_cells_full_precision():
@@ -136,3 +168,75 @@ def test_one_minimax_call_per_grid_point(monkeypatch):
     assert format_csv(sweep_rows(spec)) == expected
     assert len(calls) == 12
     assert [args[1:] for args in calls] == [(snr, 1.0) for _ in spec.rho_grid for snr in spec.snr_grid]
+
+
+class TestFormatCsvMatchesReference:
+    """format_csv formats a float object once and reuses the text; the text
+    must equal the one-repr-per-cell reference on any rows, not only on the
+    rho-major order that sweep_rows produces."""
+
+    SPEC = SweepSpec(rho_grid=(0.0, 0.2, 0.5, 0.9), snr_grid=(1e-3, 0.1, 0.5, 2.0, 40.0), sigma2=2.5)
+
+    def test_sweep_rows_in_order(self):
+        rows = sweep_rows(self.SPEC)
+        assert format_csv(rows) == reference_format_csv(rows)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_shuffled_rows(self, seed):
+        rows = sweep_rows(self.SPEC)
+        random.Random(seed).shuffle(rows)
+        assert format_csv(rows) == reference_format_csv(rows)
+
+    def test_two_concatenated_sweeps(self):
+        other = SweepSpec(rho_grid=(0.2, 0.7), snr_grid=(0.5, 3.0), sigma2=1e-300)
+        rows = sweep_rows(self.SPEC) + sweep_rows(other) + sweep_rows(self.SPEC)
+        assert format_csv(rows) == reference_format_csv(rows)
+
+    def test_equal_valued_distinct_objects(self):
+        # float("0.1") makes a new object each time; each row's cells must
+        # still read as its own values.
+        rows = sweep_rows(self.SPEC)
+        for row in rows:
+            for key in ("rho", "snr", "threshold_snr", "d_uncoded"):
+                row[key] = float(repr(row[key]))
+        assert format_csv(rows) == reference_format_csv(rows)
+
+    def test_rows_from_a_generator(self):
+        # Each row's snr is a new object, freed once its row is formatted
+        # unless format_csv holds it; a freed float's id is soon reused by
+        # the next one, so a table of ids alone would print a stale value.
+        rows = sweep_rows(self.SPEC)
+        text = format_csv(dict(row, snr=float(repr(row["snr"] * (i + 1)))) for i, row in enumerate(rows))
+        assert text == reference_format_csv([dict(row, snr=row["snr"] * (i + 1)) for i, row in enumerate(rows)])
+
+    def test_signed_zeros_in_rho_and_snr(self):
+        # 0.0 == -0.0 but they print differently, so a table keyed by value
+        # would give one of them the other's text.
+        base = sweep_rows(SweepSpec(rho_grid=(0.0,), snr_grid=(1.0,)))[0]
+        pos, neg = 0.0, -0.0
+        rows = [dict(base, rho=rho, snr=snr) for rho in (pos, neg, pos) for snr in (pos, neg, neg, pos)]
+        text = format_csv(rows)
+        assert text == reference_format_csv(rows)
+        cells = [line.split(",")[:2] for line in text.split("\n")[1:-1]]
+        assert cells[:4] == [["0.0", "0.0"], ["0.0", "-0.0"], ["0.0", "-0.0"], ["0.0", "0.0"]]
+        assert cells[4][0] == "-0.0" and cells[8][0] == "0.0"
+
+    def test_rho_kept_with_a_new_threshold(self):
+        rows = sweep_rows(self.SPEC)
+        for i, row in enumerate(rows):
+            row["threshold_snr"] = float(i)
+        assert format_csv(rows) == reference_format_csv(rows)
+
+    @pytest.mark.parametrize("dstar", ["none", "d_uncoded", "equal", "other"])
+    def test_dstar_cell(self, dstar):
+        rows = sweep_rows(self.SPEC)
+        for row in rows:
+            d_u = row["d_uncoded"]
+            row["dstar_or_blank"] = {
+                "none": None, "d_uncoded": d_u, "equal": float(repr(d_u)), "other": d_u * 0.75,
+            }[dstar]
+        text = format_csv(rows)
+        assert text == reference_format_csv(rows)
+        if dstar == "other":
+            assert all(line.split(",")[-1] == repr(row["d_uncoded"] * 0.75)
+                       for line, row in zip(text.split("\n")[1:], rows))
