@@ -7,10 +7,10 @@ on the powers through p/n0 alone, so each row is a function of
 column is filled only where the SNR is at or below the uncoded-optimality
 threshold; above it the exact optimum is unknown and the cell stays blank.
 
-Each point is validated once, by its minimax_lower_bound call. The text
-of a grid value is formed once per float object and reused for every row
-that holds that object: a table keyed by value would print -0.0 where a
-row holds 0.0, or the reverse, since the two compare equal.
+Each point is validated once, by its minimax_lower_bound call. The rows
+run rho-major over the grid, so the CSV takes each rho and snr cell once
+per grid value and the threshold cell once per rho, and a dstar cell is
+the row's own d_uncoded text.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 from .bounds import _at_or_below, _uncoded_unit, minimax_lower_bound
 from .model import ParameterError, SourceParams, _check_positive_finite, snr_threshold
 
-__all__ = ["COLUMNS", "SweepSpec", "format_csv", "sweep_rows", "write_sweep_csv"]
+__all__ = ["COLUMNS", "SweepSpec", "sweep_rows", "write_sweep_csv"]
 
 COLUMNS = (
     "rho",
@@ -84,46 +84,30 @@ def sweep_rows(spec: SweepSpec) -> list[dict]:
     return rows
 
 
-def format_csv(rows: list[dict]) -> str:
-    """One line per row in COLUMNS order: floats as repr, the flag as
-    true/false, a missing dstar as an empty cell.
-
-    A grid value is formatted once per float object, not once per row: the
-    rho and threshold_snr cells while they are the previous row's objects,
-    the snr cells in a table keyed by object identity, and dstar_or_blank
-    by d_uncoded's text when it is that object. Never by value, since
-    0.0 == -0.0 and the two print differently."""
-    lines = [",".join(COLUMNS)]
-    rho = thr = object()  # no row's value
-    # id(snr) -> (snr, its text); holding the object keeps its id unique.
-    snr_cells: dict[int, tuple[float, str]] = {}
-    for row in rows:
-        if row["rho"] is not rho:
-            rho = row["rho"]
-            rho_cell = repr(rho)
-        if row["threshold_snr"] is not thr:
-            thr = row["threshold_snr"]
-            thr_cell = repr(thr)
-        snr = row["snr"]
-        cell = snr_cells.get(id(snr))
-        if cell is None:
-            cell = snr_cells[id(snr)] = (snr, repr(snr))
-        d_u, dstar = row["d_uncoded"], row["dstar_or_blank"]
-        d_cell = repr(d_u)
-        dstar_cell = "" if dstar is None else d_cell if dstar is d_u else repr(dstar)
-        lines.append(
-            f"{rho_cell},{cell[1]},{thr_cell},{'true' if row['below_threshold'] else 'false'},"
-            f"{row['lower_bound']!r},{row['rho_star']!r},{d_cell},{dstar_cell}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def write_sweep_csv(spec: SweepSpec, path: str | Path) -> list[dict]:
-    """Run the sweep and write it to path; returns the rows for reuse."""
+    """Run the sweep and write it to path; returns the rows for reuse.
+
+    One line per row in COLUMNS order: floats as repr, the flag as
+    true/false, a missing dstar as an empty cell. The rows come rho-major
+    from the spec's grid, one block of len(snr_grid) per rho, so each rho
+    and snr cell is its grid value's repr, formed once, and the threshold
+    cell is formed once per rho."""
     rows = sweep_rows(spec)
-    text = format_csv(rows)
+    snr_cells = [repr(snr) for snr in spec.snr_grid]
+    lines = [",".join(COLUMNS)]
+    for start in range(0, len(rows), len(snr_cells)):
+        block = rows[start:start + len(snr_cells)]
+        rho_cell, thr_cell = repr(block[0]["rho"]), repr(block[0]["threshold_snr"])
+        for snr_cell, row in zip(snr_cells, block):
+            d_cell = repr(row["d_uncoded"])
+            # dstar_or_blank is d_uncoded where the flag is set, else None.
+            flag, dstar_cell = ("true", d_cell) if row["below_threshold"] else ("false", "")
+            lines.append(
+                f"{rho_cell},{snr_cell},{thr_cell},{flag},"
+                f"{row['lower_bound']!r},{row['rho_star']!r},{d_cell},{dstar_cell}"
+            )
     try:
-        Path(path).write_text(text, encoding="utf-8", newline="\n")
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise OSError(f"cannot write sweep CSV to {path}: {exc}") from exc
     return rows

@@ -245,27 +245,31 @@ def endpoint_threshold(scale: Scale) -> CriterionResult:
 
 def _feasible_span(grid: Sequence[float], rates: tuple[float, ...]) -> tuple[int, int]:
     """First and last index of the increasing grid of rho_tilde where all
-    three rate conditions hold as written, r <= 0.5 * log2(1.0 + x / n0)
-    with x the received power; (-1, -1) if there is none.
+    three rate conditions hold as written on s_i = p_i / n0,
+    r <= 0.5 * log2(1 + s1 + s2 + 2 rt sqrt(s1) sqrt(s2)) for the sum rate
+    and r_i <= 0.5 * log2(1 + s_i (1 - rt^2)) for user i; (-1, -1) if there
+    is none. Only the ratios and their roots are formed, not p1 p2, which
+    overflows beyond 1e308 where the caps are finite.
 
     The sum-rate cap is nondecreasing in rho_tilde and each user's cap is
     nonincreasing, so the feasible points are [a, b]: a the first index
     where the sum-rate condition holds, b the last before either user's
-    condition fails. Two bisections find them. Each step that forms x
-    (a product by 2 or by a constant, a sum, 1 - rt^2) is monotone under
-    round-to-nearest, and so are 1 + x / n0 and the halving; np.log2 is
-    not proven monotone here, and the dense-mask tests, which evaluate the
-    conditions at every grid point, guard it.
+    condition fails. Two bisections find them. Each step from rt to a log's
+    argument (a product by a nonnegative constant, a sum with a constant,
+    1 - rt^2) is monotone under round-to-nearest, and so is the halving;
+    np.log2 is not proven monotone here, and the dense-mask tests, which
+    evaluate the conditions at every grid point, guard it.
     """
     p1, p2, n0, r_joint, r1, r2 = rates
-    root = math.sqrt(p1 * p2)
+    s1, s2 = p1 / n0, p2 / n0
+    root1, root2 = math.sqrt(s1), math.sqrt(s2)
 
     def sum_holds(rt: float) -> bool:
-        return r_joint <= 0.5 * np.log2(1.0 + (p1 + p2 + 2.0 * rt * root) / n0)
+        return r_joint <= 0.5 * np.log2(1.0 + s1 + s2 + 2.0 * rt * root1 * root2)
 
     def user_fails(rt: float) -> bool:
         priv = 1.0 - rt * rt
-        return not all(r <= 0.5 * np.log2(1.0 + p * priv / n0) for p, r in ((p1, r1), (p2, r2)))
+        return not all(r <= 0.5 * np.log2(1.0 + s * priv) for s, r in ((s1, r1), (s2, r2)))
 
     first = bisect.bisect_left(grid, True, key=sum_holds)
     last = bisect.bisect_left(grid, True, key=user_fails) - 1

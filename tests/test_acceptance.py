@@ -25,11 +25,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from helpers import log_uniform
 
-from gmacfb import FeasibilityResult, SourceParams, bounds, cli, conditional_rd, joint_rd, snr_threshold, verification
+from gmacfb import (
+    ChannelParams, DistortionPair, FeasibilityResult, SourceParams, bounds, cli, conditional_rd, joint_rd, snr_threshold,
+    verification,
+)
 from gmacfb.rate_distortion import diagonal_branch_rate
 from gmacfb.verification import SCALES, CriterionResult, CRITERIA, run_criteria
 
@@ -216,10 +219,12 @@ def test_feasibility_oracle_reports_a_wrong_interval(monkeypatch):
 
 
 def _written_caps(grid, p1, p2, n0):
-    """The sum-rate, user-1 and user-2 caps as written, over the whole grid."""
-    sum_cap = 0.5 * np.log2(1.0 + (p1 + p2 + 2.0 * grid * math.sqrt(p1 * p2)) / n0)
+    """The sum-rate, user-1 and user-2 caps as written on s_i = p_i / n0,
+    over the whole grid."""
+    s1, s2 = p1 / n0, p2 / n0
+    sum_cap = 0.5 * np.log2(1.0 + s1 + s2 + 2.0 * grid * math.sqrt(s1) * math.sqrt(s2))
     priv = 1.0 - grid * grid
-    return sum_cap, 0.5 * np.log2(1.0 + p1 * priv / n0), 0.5 * np.log2(1.0 + p2 * priv / n0)
+    return sum_cap, 0.5 * np.log2(1.0 + s1 * priv), 0.5 * np.log2(1.0 + s2 * priv)
 
 
 def _written_hits(grid, rates):
@@ -293,11 +298,12 @@ def test_rate_scan_property(p1, p2, n0, at):
 
 @pytest.mark.parametrize("scale", [1.0, 4.0 ** 10])
 def test_rate_scan_tie_decided_by_the_written_form(scale):
-    # The sum rate is the written sum cap at index 8684, and the user rates
-    # are 0. There the received power rounds to 55.261751599058016, an ulp
-    # below the power need 55.26175159905802: a power test alone would
-    # reject the point that the written form accepts. A power of four
-    # scales p1, p2, n0, the received power and the need exactly.
+    # The sum rate r is the written sum cap at index 8684, and the user
+    # rates are 0. There the received SNR s1 + s2 + 2 rt sqrt(s1) sqrt(s2)
+    # rounds to 0.935972853767942, an ulp below the SNR need
+    # 4^r - 1 = 0.9359728537679421: an SNR test alone would reject the
+    # point that the written form accepts. A power of four scales p1, p2
+    # and n0 and leaves each s_i = p_i / n0 as it was.
     p1, p2, n0 = (v * scale for v in (5.462735454767605, 28.230718763147177, 59.04204526508543))
     sum_cap, _, _ = _written_caps(_PROPERTY_GRID, p1, p2, n0)
     rates = (p1, p2, n0, sum_cap[8684], 0.0, 0.0)
@@ -316,7 +322,7 @@ def test_rate_scan_edge_rates():
                 rates = [0.0, 0.0, 0.0]
                 rates[at] = r
                 assert verification._feasible_span(_PROPERTY_GRID, (1.0, 2.0, 0.5, *rates)) == (-1, -1)
-    # Where x / n0 overflows, the written sum cap is infinite and holds
+    # Where s1 + s2 overflows, the written sum cap is infinite and holds
     # for any rate.
     with np.errstate(over="ignore"):
         assert verification._feasible_span(_PROPERTY_GRID, (1.0, 1.0, 1e-308, 600.0, 0.0, 0.0)) == (0, 10_000)
@@ -411,6 +417,42 @@ def test_feasibility_interval_contains_the_span_at_float_resolution():
             lo, hi = res.rho_interval
             assert lo <= grid[first] and grid[last] <= hi, (i, res.rho_interval, grid[first], grid[last])
     assert feasible > 200
+
+
+_EXPONENT = st.floats(-300.0, 300.0)
+_UNIT = st.floats(0.0, 1.0)
+_SHIFT = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rho=st.floats(0.0, 1.0, exclude_max=True), exponents=st.tuples(_EXPONENT, _EXPONENT),
+       depth=st.tuples(_UNIT, _UNIT), shift=st.tuples(_SHIFT, _SHIFT))
+# p1 p2 = 1e343 overflows: a product form reads the sum cap as inf.
+@example(rho=0.5, exponents=(101.0, 242.0), depth=(0.87, 0.79), shift=(-0.89, 0.95))
+# User 2's rate, 4.8e-16 bits, is above its written cap, which rounds to 0,
+# but within the rate slack: feasible, with no span at the rates as given.
+@example(rho=0.0, exponents=(0.0, -16.0), depth=(0.0, 0.0), shift=(0.0, -2.220446049250313e-16))
+def test_feasibility_interval_contains_the_span_at_the_extremes(rho, exponents, depth, shift):
+    # The float-resolution check over the extremes that bound accepts:
+    # s_i = p_i / n0 from 1e-300 to 1e300, and d_i / sigma2 =
+    # (1 + s_i)^-depth_i 10^shift_i, floored at 1e-300, so that the targets
+    # follow the powers and about half the draws are feasible.
+    # check_feasibility lowers each rate by its slack before it decides, so
+    # the verdicts agree at the lowered rates, and the interval holds the
+    # span of the rates as given.
+    s = [10.0 ** e for e in exponents]
+    d = [10.0 ** max(-u * math.log10(1.0 + s_i) + v, -300.0) for s_i, u, v in zip(s, depth, shift)]
+    source, pair = SourceParams(1.0, rho), DistortionPair(*d)
+    res = bounds.check_feasibility(source, ChannelParams(s[0], s[1], 1.0), pair)
+    rates = (joint_rd(source, pair), conditional_rd(source, pair.d1), conditional_rd(source, pair.d2))
+    grid = _EveryFloat()
+    lowered = [(1.0 - bounds._RATE_SLACK) * r - bounds._RATE_SLACK for r in rates]
+    assert res.feasible == (verification._feasible_span(grid, (s[0], s[1], 1.0, *lowered))[0] >= 0)
+    first, last = verification._feasible_span(grid, (s[0], s[1], 1.0, *rates))
+    if first >= 0:
+        assert res.feasible
+        lo, hi = res.rho_interval
+        assert lo <= grid[first] and grid[last] <= hi
 
 
 @pytest.mark.parametrize("n", [2, 3, 10_001, 100_001])

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import random
 
 import pytest
 
@@ -11,7 +10,6 @@ from gmacfb import (
     SweepSpec,
     below_snr_threshold,
     dstar_below_threshold,
-    format_csv,
     minimax_lower_bound,
     snr_threshold,
     sweep_rows,
@@ -21,8 +19,7 @@ from gmacfb import (
 
 
 def reference_format_csv(rows):
-    """format_csv as it was before it formatted each float object once: one
-    f-string per row, every float through repr."""
+    """The sweep CSV as one f-string per row, every float through repr."""
     lines = [",".join(COLUMNS)]
     for row in rows:
         dstar = row["dstar_or_blank"]
@@ -58,13 +55,19 @@ def test_threshold_row_all_equal():
     assert row["dstar_or_blank"] == pytest.approx(0.5, abs=1e-12)
 
 
-def test_rho_zero_rows_have_blank_dstar():
+def _csv_text(spec, tmp_path):
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(spec, path)
+    return path.read_text(encoding="utf-8")
+
+
+def test_rho_zero_rows_have_blank_dstar(tmp_path):
     spec = SweepSpec(rho_grid=(0.0, -0.0), snr_grid=(0.1, 1.0, 5.0))
     for row in sweep_rows(spec):
         assert row["threshold_snr"] == 0.0
         assert row["below_threshold"] is False
         assert row["dstar_or_blank"] is None
-    text = format_csv(sweep_rows(spec))
+    text = _csv_text(spec, tmp_path)
     for line in text.strip().split("\n")[1:]:
         assert line.split(",")[2] == "0.0"  # +0.0 at rho = -0.0 too
         assert line.endswith(",")    # empty final cell
@@ -100,9 +103,9 @@ def test_rows_match_library_calls():
     assert flags == [True, True, True, False, False, False]
 
 
-def test_csv_cells_full_precision():
+def test_csv_cells_full_precision(tmp_path):
     spec = SweepSpec(rho_grid=(0.2,), snr_grid=(1.0 / 3.0,))
-    text = format_csv(sweep_rows(spec))
+    text = _csv_text(spec, tmp_path)
     cells = text.strip().split("\n")[1].split(",")
     assert cells[0] == "0.2"
     assert cells[1] == repr(1.0 / 3.0)
@@ -151,13 +154,13 @@ def test_columns_constant_matches_contract():
     )
 
 
-def test_one_minimax_call_per_grid_point(monkeypatch):
+def test_one_minimax_call_per_grid_point(monkeypatch, tmp_path):
     # The benchmark's tracer counts sweep work as minimax_lower_bound calls
     # through gmacfb.sweep; the sweep must keep making one per point.
     import gmacfb.sweep
 
     spec = SweepSpec(rho_grid=(0.0, 0.4, 0.8), snr_grid=(0.01, 0.3, 2.0, 50.0), sigma2=2.5)
-    expected = format_csv(sweep_rows(spec))
+    expected = _csv_text(spec, tmp_path)
     calls = []
 
     def counting(*args, **kwargs):
@@ -165,78 +168,27 @@ def test_one_minimax_call_per_grid_point(monkeypatch):
         return minimax_lower_bound(*args, **kwargs)
 
     monkeypatch.setattr(gmacfb.sweep, "minimax_lower_bound", counting)
-    assert format_csv(sweep_rows(spec)) == expected
+    assert _csv_text(spec, tmp_path) == expected
     assert len(calls) == 12
     assert [args[1:] for args in calls] == [(snr, 1.0) for _ in spec.rho_grid for snr in spec.snr_grid]
 
 
-class TestFormatCsvMatchesReference:
-    """format_csv formats a float object once and reuses the text; the text
-    must equal the one-repr-per-cell reference on any rows, not only on the
-    rho-major order that sweep_rows produces."""
+_EDGE = snr_threshold(SourceParams(2.5, 0.3)) * (1.0 + 1e-12)
+_TENTH = 0.1
 
-    SPEC = SweepSpec(rho_grid=(0.0, 0.2, 0.5, 0.9), snr_grid=(1e-3, 0.1, 0.5, 2.0, 40.0), sigma2=2.5)
 
-    def test_sweep_rows_in_order(self):
-        rows = sweep_rows(self.SPEC)
-        assert format_csv(rows) == reference_format_csv(rows)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_shuffled_rows(self, seed):
-        rows = sweep_rows(self.SPEC)
-        random.Random(seed).shuffle(rows)
-        assert format_csv(rows) == reference_format_csv(rows)
-
-    def test_two_concatenated_sweeps(self):
-        other = SweepSpec(rho_grid=(0.2, 0.7), snr_grid=(0.5, 3.0), sigma2=1e-300)
-        rows = sweep_rows(self.SPEC) + sweep_rows(other) + sweep_rows(self.SPEC)
-        assert format_csv(rows) == reference_format_csv(rows)
-
-    def test_equal_valued_distinct_objects(self):
-        # float("0.1") makes a new object each time; each row's cells must
-        # still read as its own values.
-        rows = sweep_rows(self.SPEC)
-        for row in rows:
-            for key in ("rho", "snr", "threshold_snr", "d_uncoded"):
-                row[key] = float(repr(row[key]))
-        assert format_csv(rows) == reference_format_csv(rows)
-
-    def test_rows_from_a_generator(self):
-        # Each row's snr is a new object, freed once its row is formatted
-        # unless format_csv holds it; a freed float's id is soon reused by
-        # the next one, so a table of ids alone would print a stale value.
-        rows = sweep_rows(self.SPEC)
-        text = format_csv(dict(row, snr=float(repr(row["snr"] * (i + 1)))) for i, row in enumerate(rows))
-        assert text == reference_format_csv([dict(row, snr=row["snr"] * (i + 1)) for i, row in enumerate(rows)])
-
-    def test_signed_zeros_in_rho_and_snr(self):
-        # 0.0 == -0.0 but they print differently, so a table keyed by value
-        # would give one of them the other's text.
-        base = sweep_rows(SweepSpec(rho_grid=(0.0,), snr_grid=(1.0,)))[0]
-        pos, neg = 0.0, -0.0
-        rows = [dict(base, rho=rho, snr=snr) for rho in (pos, neg, pos) for snr in (pos, neg, neg, pos)]
-        text = format_csv(rows)
-        assert text == reference_format_csv(rows)
-        cells = [line.split(",")[:2] for line in text.split("\n")[1:-1]]
-        assert cells[:4] == [["0.0", "0.0"], ["0.0", "-0.0"], ["0.0", "-0.0"], ["0.0", "0.0"]]
-        assert cells[4][0] == "-0.0" and cells[8][0] == "0.0"
-
-    def test_rho_kept_with_a_new_threshold(self):
-        rows = sweep_rows(self.SPEC)
-        for i, row in enumerate(rows):
-            row["threshold_snr"] = float(i)
-        assert format_csv(rows) == reference_format_csv(rows)
-
-    @pytest.mark.parametrize("dstar", ["none", "d_uncoded", "equal", "other"])
-    def test_dstar_cell(self, dstar):
-        rows = sweep_rows(self.SPEC)
-        for row in rows:
-            d_u = row["d_uncoded"]
-            row["dstar_or_blank"] = {
-                "none": None, "d_uncoded": d_u, "equal": float(repr(d_u)), "other": d_u * 0.75,
-            }[dstar]
-        text = format_csv(rows)
-        assert text == reference_format_csv(rows)
-        if dstar == "other":
-            assert all(line.split(",")[-1] == repr(row["d_uncoded"] * 0.75)
-                       for line, row in zip(text.split("\n")[1:], rows))
+@pytest.mark.parametrize("spec", [
+    SweepSpec(rho_grid=(0.0, 0.2, 0.5, 0.9), snr_grid=(1e-3, 0.1, 0.5, 2.0, 40.0), sigma2=2.5),
+    SweepSpec(rho_grid=(0.0, -0.0, 0.3, -0.0), snr_grid=(0.05, 1.0), sigma2=2.5),
+    # One object twice, and equal values held by distinct objects.
+    SweepSpec(rho_grid=(0.2, 0.7), snr_grid=(_TENTH, 3.0, _TENTH, float("0.1"), float("0.1")), sigma2=1e-300),
+    # dstar is d_uncoded at the first SNR and blank at the next float.
+    SweepSpec(rho_grid=(0.3,), snr_grid=(_EDGE, math.nextafter(_EDGE, math.inf)), sigma2=2.5),
+], ids=["in-order", "signed-zero-rho", "repeated-snr", "threshold-edge"])
+def test_csv_is_the_reference_text(spec, tmp_path):
+    text = _csv_text(spec, tmp_path)
+    assert text == reference_format_csv(sweep_rows(spec))
+    if spec.snr_grid[0] is _EDGE:
+        below, above = (line.split(",") for line in text.split("\n")[1:3])
+        assert below[3] == "true" and below[7] == below[6]
+        assert above[3] == "false" and above[7] == ""
