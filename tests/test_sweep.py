@@ -192,3 +192,31 @@ def test_csv_is_the_reference_text(spec, tmp_path):
         below, above = (line.split(",") for line in text.split("\n")[1:3])
         assert below[3] == "true" and below[7] == below[6]
         assert above[3] == "false" and above[7] == ""
+
+
+class TestFormatCsvMatchesReference:
+    """The dstar cell of the sweep CSV equals the one-repr-per-cell reference:
+    the row's d_uncoded text on a grid wholly at or below the threshold,
+    blank on a grid wholly above it."""
+
+    SPECS = {
+        # Thresholds at sigma2 2.5: 0.208 (rho 0.2), 0.667 (0.5), 4.74 (0.9).
+        "d_uncoded": SweepSpec(rho_grid=(0.2, 0.5, 0.9), snr_grid=(1e-3, 0.01, 0.1, 0.2), sigma2=2.5),
+        "none": SweepSpec(rho_grid=(0.0, -0.0, 0.2, 0.5, 0.9), snr_grid=(5.0, 40.0, 1e3), sigma2=2.5),
+    }
+
+    @pytest.mark.parametrize("dstar", ["none", "d_uncoded"])
+    def test_dstar_cell(self, dstar, tmp_path):
+        spec = self.SPECS[dstar]
+        rows = sweep_rows(spec)
+        text = _csv_text(spec, tmp_path)
+        assert text == reference_format_csv(rows)
+        cells = [line.split(",") for line in text.split("\n")[1:-1]]
+        assert len(cells) == len(rows)
+        for cell, row in zip(cells, rows):
+            if dstar == "none":
+                assert row["dstar_or_blank"] is None
+                assert cell[3] == "false" and cell[7] == ""
+            else:
+                assert row["dstar_or_blank"] == row["d_uncoded"]
+                assert cell[3] == "true" and cell[7] == cell[6] == repr(row["d_uncoded"])
