@@ -1,19 +1,21 @@
 """End-to-end verification criteria for the whole toolkit.
 
 Each criterion is a self-contained check that recomputes its expectations
-through an independent route (closed forms evaluated directly, brute-force
-grid scans, Monte Carlo with statistical tolerances) and compares them to
-the library's answers. `run_criteria` executes all of them at "quick"
-or "full" scale and reports one pass/fail per criterion; the CLI `verify`
+through an independent route (closed forms evaluated directly, grid scans,
+Monte Carlo with statistical tolerances) and compares them to the
+library's answers. `run_criteria` executes all of them at "quick" or
+"full" scale and reports one pass/fail per criterion; the CLI `verify`
 command and the acceptance test suite both drive this module. The
 feasibility oracle finds each instance's span of feasible grid points by
 two bisections that evaluate the rate conditions as written: the sum-rate
-cap rises and the user caps fall along the grid. Its grid points are formed
-on demand, as `np.linspace` forms them, and the endpoint grid minimax runs
-in place, so the criteria that do not run the simulator allocate less than
-its workspaces. The rate-distortion dominance check evaluates the joint
-rate on its grid by the library's kernel, `_joint_rd_unit`, one chunk of a
-few thousand points per call, bit for bit as scalar `joint_rd` would.
+cap rises and the user caps fall along the grid. The endpoint grid minimax
+finds the crossing of the two bound curves, each evaluated as written, by
+one bisection. Both grids' points are formed on demand, as `np.linspace` forms
+them, so the criteria that do not run the simulator hold no grid and
+allocate less than its workspaces. The rate-distortion dominance check
+evaluates the joint rate on its grid by the library's kernel,
+`_joint_rd_unit`, one chunk of a few thousand points per call, bit for bit
+as scalar `joint_rd` would.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import bisect
 import io
 import math
+import operator
 import os
 import tempfile
 import time
@@ -66,9 +69,9 @@ class Scale:
 
 
 # The minimax grid has its stated size at either scale: the 1e-6 value
-# agreement is only reachable at that resolution, and the scan is a couple
-# of vectorized passes either way. So do the sampled branch boundaries,
-# which cost microseconds.
+# agreement is only reachable at that resolution, and its bisection reads
+# at most 19 points either way. So do the sampled branch boundaries, which
+# cost microseconds.
 MINIMAX_POINTS = 100_000
 BOUNDARY_POINTS = 25
 # Grid points per joint-rate kernel call in `rd_properties`: a call's fixed
@@ -170,51 +173,61 @@ def monte_carlo_agreement(scale: Scale) -> CriterionResult:
     )
 
 
-def _grid_minimax(grid: np.ndarray, rho: float, p: float, branch_rate: float) -> tuple[int, float]:
-    """Index and value of the minimum over the grid of rho_tilde of
+class _LinspaceGrid:
+    """np.linspace(0.0, 1.0, n), n >= 2, with each point formed on demand
+    as numpy forms it: i * (1.0 / (n - 1)), and 1.0 at the last index."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.step = 1.0 / (n - 1)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i: int) -> float:
+        return 1.0 if i == self.n - 1 else i * self.step
+
+
+def _grid_minimax(grid: Sequence[float], rho: float, p: float, branch_rate: float) -> tuple[int, float]:
+    """Index and value of the minimum over the increasing grid of rho_tilde
+    of max(sum_rate, user), where
 
         rate = 0.5 * log2(1.0 + 2.0 * p * (1.0 + rt))
         region_a = sqrt(1.0 - rho * rho) * exp2(-rate)
         region_b = 0.5 * ((1.0 + rho) * exp2(-2.0 * rate) + (1.0 - rho))
         sum_rate = region_a where rate >= branch_rate, else region_b
-        max(sum_rate, (1.0 - rho * rho) / (1.0 + p * (1.0 - rt * rt)))
+        user = (1.0 - rho * rho) / (1.0 + p * (1.0 - rt * rt))
 
-    formed in place in three arrays and one mask. Each step is the written
-    operation on the same two operands, so every value is the written one.
+    evaluated one point at a time. The sum-rate curve falls in rho_tilde and
+    the user curve rises, so the minimum is at the first point where
+    sum_rate <= user, found by bisection as in `_feasible_span`, or at the
+    point before it: the one with the lower maximum, the earlier on a tie.
+    Below p/n0 of about 1e-11, adjacent grid points can round to equal
+    values, and the index is then the last of such a flat run before the
+    crossing, where a dense argmin takes its first, at the same value. No
+    criterion input lies there. np.log2 and np.exp2 are not proven monotone,
+    and the dense-argmin tests guard the bisection.
     """
-    rate = np.add(grid, 1.0)
-    rate *= 2.0 * p
-    rate += 1.0
-    np.log2(rate, out=rate)
-    rate *= 0.5
-    in_a = rate >= branch_rate
-    region_a = np.negative(rate)
-    np.exp2(region_a, out=region_a)
-    region_a *= math.sqrt(1.0 - rho * rho)
-    values = np.multiply(rate, -2.0)
-    np.exp2(values, out=values)
-    values *= 1.0 + rho
-    values += 1.0 - rho
-    values *= 0.5
-    np.copyto(values, region_a, where=in_a)
-    user_cap = np.multiply(grid, grid, out=rate)
-    np.subtract(1.0, user_cap, out=user_cap)
-    user_cap *= p
-    user_cap += 1.0
-    np.divide(1.0 - rho * rho, user_cap, out=user_cap)
-    np.maximum(values, user_cap, out=values)
-    idx = int(np.argmin(values))
-    return idx, values[idx]
+    def curves(rt: float) -> tuple[float, float]:
+        rate = 0.5 * np.log2(1.0 + 2.0 * p * (1.0 + rt))
+        region_a = math.sqrt(1.0 - rho * rho) * np.exp2(-rate)
+        region_b = 0.5 * ((1.0 + rho) * np.exp2(-2.0 * rate) + (1.0 - rho))
+        sum_rate = region_a if rate >= branch_rate else region_b
+        return sum_rate, (1.0 - rho * rho) / (1.0 + p * (1.0 - rt * rt))
+
+    first = bisect.bisect_left(grid, True, key=lambda rt: operator.le(*curves(rt)))
+    near = ((i, max(curves(grid[i]))) for i in (first - 1, first) if 0 <= i < len(grid))
+    return min(near, key=lambda point: point[1])
 
 
 def endpoint_threshold(scale: Scale) -> CriterionResult:
     """Below the endpoint SNR the minimax must sit exactly at rho_tilde = 1;
-    above it, at a genuine crossing that a brute-force grid minimax
+    above it, at a genuine crossing that a grid minimax over 10^5 points
     reproduces to one grid step and 1e-6 in value. The grid evaluates the
     curves from the rate caps as written, not through the bounds kernels it
     checks: the sum-rate cap by the diagonal's rate-form inverse, and the
     per-user cap solved for the common distortion."""
-    grid = np.linspace(0.0, 1.0, MINIMAX_POINTS)
+    grid = _LinspaceGrid(MINIMAX_POINTS)
     step = grid[1] - grid[0]
     problems = []
     for rho in RHO_GRID:
@@ -284,21 +297,6 @@ def _oracle_instance(rng: np.random.Generator) -> tuple[SourceParams, ChannelPar
     n0 = rng.uniform(0.25, 2.0)
     d1, d2 = rng.uniform(0.05, 1.15, size=2) * s2
     return SourceParams(s2, rho), ChannelParams(p1, p2, n0), DistortionPair(d1, d2)
-
-
-class _LinspaceGrid:
-    """np.linspace(0.0, 1.0, n), n >= 2, with each point formed on demand
-    as numpy forms it: i * (1.0 / (n - 1)), and 1.0 at the last index."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.step = 1.0 / (n - 1)
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, i: int) -> float:
-        return 1.0 if i == self.n - 1 else i * self.step
 
 
 def feasibility_oracle(scale: Scale) -> CriterionResult:

@@ -3,6 +3,7 @@
 import decimal
 import io
 import math
+import struct
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
@@ -43,6 +44,16 @@ def run_inprocess(args):
 def log_uniform(lo_exp: float, hi_exp: float):
     """Floats 10^e with e uniform on [lo_exp, hi_exp]."""
     return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
+class EveryFloat:
+    """Every double in [0, 1], in order: item i has the bit pattern i."""
+
+    def __len__(self):
+        return 0x3FF0000000000000 + 1
+
+    def __getitem__(self, i):
+        return struct.unpack("<d", struct.pack("<q", i))[0]
 
 
 # 60-digit references for the equal-power bound curves, in w = 1 - rho_tilde.

@@ -17,7 +17,6 @@ endpoint-threshold criteria, which pass.
 
 import dataclasses
 import math
-import struct
 import sys
 import threading
 import tracemalloc
@@ -27,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from helpers import log_uniform
+from helpers import EveryFloat, log_uniform
 
 from gmacfb import (
     ChannelParams, DistortionPair, FeasibilityResult, SourceParams, bounds, cli, conditional_rd, joint_rd, snr_threshold,
@@ -106,7 +105,8 @@ def test_endpoint_threshold_reports_a_misplaced_minimax(monkeypatch, active, cha
 
 
 def _written_grid_minimax(grid, rho, p, branch_rate):
-    """The endpoint criterion's grid minimax, written out of place."""
+    """The endpoint criterion's grid minimax, written over the whole grid:
+    the dense argmin that the bisection must reproduce."""
     rate = 0.5 * np.log2(1.0 + 2.0 * p * (1.0 + grid))
     region_a = math.sqrt(1.0 - rho * rho) * np.exp2(-rate)
     region_b = 0.5 * ((1.0 + rho) * np.exp2(-2.0 * rate) + (1.0 - rho))
@@ -118,27 +118,73 @@ def _written_grid_minimax(grid, rho, p, branch_rate):
 
 def _endpoint_cases():
     """(rho, p/n0) at the criterion's three crossing SNRs per correlation,
-    and at correlations and SNRs near the ends of their ranges."""
+    at correlations and SNRs near the ends of their ranges, and at two
+    SNRs at rho = 0 where the curves meet at the grid's first point, so
+    that the minimum is at index 0."""
     for rho in verification.RHO_GRID:
         source = SourceParams(1.0, rho)
         t_end = bounds.endpoint_snr_threshold(source)
         yield from ((rho, p) for p in (t_end * 1.1, t_end * 2.0, snr_threshold(source) * 1.5))
     yield from ((rho, p) for rho in (0.01, 0.999) for p in (1e-3, 1.0, 1e3))
+    yield from ((0.0, p) for p in (1e-10, 3e-9))
+
+
+_MINIMAX_GRID = np.linspace(0.0, 1.0, verification.MINIMAX_POINTS)
+
+
+def _assert_bisection_is_the_dense_argmin(rho, p):
+    branch_rate = diagonal_branch_rate(SourceParams(1.0, rho))
+    grid = verification._LinspaceGrid(verification.MINIMAX_POINTS)
+    expected = _written_grid_minimax(_MINIMAX_GRID, rho, p, branch_rate)
+    assert verification._grid_minimax(grid, rho, p, branch_rate) == expected, (rho, p)
 
 
 def test_grid_minimax_is_the_written_expression():
-    # In place, every step is the written one: index and value equal to
-    # the bit.
-    grid = np.linspace(0.0, 1.0, verification.MINIMAX_POINTS)
+    # The bisection on the criterion's grid gives the dense argmin of the
+    # written expression, index and value equal to the bit.
     for rho, p in _endpoint_cases():
-        branch_rate = diagonal_branch_rate(SourceParams(1.0, rho))
-        expected = _written_grid_minimax(grid, rho, p, branch_rate)
-        assert verification._grid_minimax(grid, rho, p, branch_rate) == expected, (rho, p)
+        _assert_bisection_is_the_dense_argmin(rho, p)
 
 
-def test_endpoint_threshold_memory_is_the_grid_and_three_arrays():
-    # The grid, three more arrays of its size and a mask: the written
-    # expression's temporaries (about 6 MiB) would not fit.
+@settings(max_examples=100, deadline=None)
+@given(rho=st.floats(0.0, 1.0, exclude_max=True) | st.floats(-12.0, -1.0).map(lambda e: 1.0 - 10.0 ** e),
+       p=log_uniform(-8, 8))
+def test_grid_minimax_is_the_dense_argmin_over_the_domain(rho, p):
+    # rho anywhere in [0, 1), or within 1e-12 to 1e-1 of 1; p/n0 from 1e-8
+    # to 1e8.
+    _assert_bisection_is_the_dense_argmin(rho, p)
+
+
+class _CountedReads:
+    """A grid that counts the points read from it."""
+
+    def __init__(self, grid):
+        self.grid = grid
+        self.reads = 0
+
+    def __len__(self):
+        return len(self.grid)
+
+    def __getitem__(self, i):
+        points = self.grid[i]
+        self.reads += np.size(points)
+        return points
+
+
+def test_grid_minimax_reads_a_logarithmic_number_of_points():
+    # The bisection reads at most ceil(log2 N) + 1 points, and the two
+    # points around the crossing are read once more; a dense scan would
+    # read all 10^5.
+    limit = math.ceil(math.log2(verification.MINIMAX_POINTS)) + 1 + 2
+    for rho, p in _endpoint_cases():
+        counted = _CountedReads(verification._LinspaceGrid(verification.MINIMAX_POINTS))
+        verification._grid_minimax(counted, rho, p, diagonal_branch_rate(SourceParams(1.0, rho)))
+        assert 0 < counted.reads <= limit
+
+
+def test_endpoint_threshold_memory_holds_no_grid():
+    # Grid points are formed on demand: under 64 KiB, where the 800 KB grid
+    # of 10^5 points would not fit.
     verification.endpoint_threshold(FULL)
     tracemalloc.start()
     try:
@@ -146,7 +192,7 @@ def test_endpoint_threshold_memory_is_the_grid_and_three_arrays():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 8 * verification.MINIMAX_POINTS + 2 ** 18
+    assert peak < 2 ** 16
 
 
 def _patch_sum_rate_kernel(monkeypatch, region_b):
@@ -296,15 +342,13 @@ def test_rate_scan_property(p1, p2, n0, at):
     assert span == ((hits[0], hits[-1]) if len(hits) else (-1, -1))
 
 
-@pytest.mark.parametrize("scale", [1.0, 4.0 ** 10])
-def test_rate_scan_tie_decided_by_the_written_form(scale):
+def test_rate_scan_tie_decided_by_the_written_form():
     # The sum rate r is the written sum cap at index 8684, and the user
     # rates are 0. There the received SNR s1 + s2 + 2 rt sqrt(s1) sqrt(s2)
     # rounds to 0.935972853767942, an ulp below the SNR need
     # 4^r - 1 = 0.9359728537679421: an SNR test alone would reject the
-    # point that the written form accepts. A power of four scales p1, p2
-    # and n0 and leaves each s_i = p_i / n0 as it was.
-    p1, p2, n0 = (v * scale for v in (5.462735454767605, 28.230718763147177, 59.04204526508543))
+    # point that the written form accepts.
+    p1, p2, n0 = 5.462735454767605, 28.230718763147177, 59.04204526508543
     sum_cap, _, _ = _written_caps(_PROPERTY_GRID, p1, p2, n0)
     rates = (p1, p2, n0, sum_cap[8684], 0.0, 0.0)
     assert verification._feasible_span(_PROPERTY_GRID, rates) == (8684, 10_000)
@@ -326,22 +370,6 @@ def test_rate_scan_edge_rates():
     # for any rate.
     with np.errstate(over="ignore"):
         assert verification._feasible_span(_PROPERTY_GRID, (1.0, 1.0, 1e-308, 600.0, 0.0, 0.0)) == (0, 10_000)
-
-
-class _CountedReads:
-    """A grid that counts the points read from it."""
-
-    def __init__(self, grid):
-        self.grid = grid
-        self.reads = 0
-
-    def __len__(self):
-        return len(self.grid)
-
-    def __getitem__(self, i):
-        points = self.grid[i]
-        self.reads += np.size(points)
-        return points
 
 
 def test_feasible_span_reads_a_logarithmic_number_of_points():
@@ -386,21 +414,11 @@ def test_feasibility_oracle_memory_holds_no_grid():
     assert peak < 2 ** 16
 
 
-class _EveryFloat:
-    """Every double in [0, 1], in order: item i has the bit pattern i."""
-
-    def __len__(self):
-        return 0x3FF0000000000000 + 1
-
-    def __getitem__(self, i):
-        return struct.unpack("<d", struct.pack("<q", i))[0]
-
-
 def test_feasibility_interval_contains_the_span_at_float_resolution():
     # One-sided at float resolution: on the oracle's instances the verdicts
     # agree, and the closed-form interval holds every float where the three
     # rate conditions hold as written. About 60 probes per bisection.
-    grid = _EveryFloat()
+    grid = EveryFloat()
     assert grid[0] == 0.0 and grid[len(grid) - 1] == 1.0 and grid[1] == 5e-324
     rng = np.random.default_rng(424242)
     feasible = 0
@@ -445,7 +463,7 @@ def test_feasibility_interval_contains_the_span_at_the_extremes(rho, exponents, 
     source, pair = SourceParams(1.0, rho), DistortionPair(*d)
     res = bounds.check_feasibility(source, ChannelParams(s[0], s[1], 1.0), pair)
     rates = (joint_rd(source, pair), conditional_rd(source, pair.d1), conditional_rd(source, pair.d2))
-    grid = _EveryFloat()
+    grid = EveryFloat()
     lowered = [(1.0 - bounds._RATE_SLACK) * r - bounds._RATE_SLACK for r in rates]
     assert res.feasible == (verification._feasible_span(grid, (s[0], s[1], 1.0, *lowered))[0] >= 0)
     first, last = verification._feasible_span(grid, (s[0], s[1], 1.0, *rates))
@@ -455,7 +473,7 @@ def test_feasibility_interval_contains_the_span_at_the_extremes(rho, exponents, 
         assert lo <= grid[first] and grid[last] <= hi
 
 
-@pytest.mark.parametrize("n", [2, 3, 10_001, 100_001])
+@pytest.mark.parametrize("n", [2, 3, 10_001, verification.MINIMAX_POINTS, 100_001])
 def test_linspace_grid_is_np_linspace_at_every_index(n):
     grid = verification._LinspaceGrid(n)
     assert len(grid) == n

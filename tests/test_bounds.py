@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from helpers import exact_curves, exact_minimax, log_uniform, reference_minimax
+from helpers import EveryFloat, exact_curves, exact_minimax, log_uniform, reference_minimax
 
 from gmacfb import (
     BoundResult,
@@ -26,7 +26,7 @@ from gmacfb import (
     symmetric_joint_rd_inverse,
     uncoded_distortion,
 )
-from gmacfb import verification
+from gmacfb import bounds, conditional_rd, joint_rd, verification
 from gmacfb.bounds import _sum_rate_unit
 from gmacfb.model import _MAX_SNR
 
@@ -43,6 +43,9 @@ DSTAR_03_02 = 0.7776315789473683         # (0.2*0.91 + 1) / (0.4*1.3 + 1)
 
 class TestCheckFeasibility:
     def test_tight_point_degenerates_to_singleton(self):
+        # All three conditions meet at rho_tilde = 0.5. The rate slack
+        # widens the interval to about (0.5 - 6e-14, 0.5 + 4e-14); the
+        # emptiness slack does not decide it.
         ch = ChannelParams(2.0 / 3.0, 2.0 / 3.0, 1.0)
         res = check_feasibility(HALF, ch, DistortionPair(0.5, 0.5))
         assert res.feasible
@@ -100,8 +103,6 @@ class TestCheckFeasibility:
         assert res.rho_interval == (0.0, 1.0)
 
     def test_witness_satisfies_all_three_conditions(self):
-        from gmacfb import conditional_rd, joint_rd
-
         src = SourceParams(1.3, 0.6)
         ch = ChannelParams(0.8, 1.4, 0.9)
         pair = DistortionPair(0.5, 0.7)
@@ -117,14 +118,31 @@ class TestCheckFeasibility:
 
     def test_tight_at_full_input_correlation(self):
         # Zero conditional rates and a sum condition solvable only at
-        # rho_tilde = 1: rounding pushes the lower endpoint a hair above 1
-        # and the emptiness slack must still call it feasible.
+        # rho_tilde = 1. The rate slack lowers the joint rate, so the lower
+        # end is 1 - 1.08e-13; the emptiness slack does not decide it.
         res = check_feasibility(HALF, ChannelParams(0.125, 0.125, 1.0), DistortionPair(0.75, 0.75))
         assert res.feasible
         lo, hi = res.rho_interval
         assert lo == pytest.approx(1.0, abs=1e-9)
         assert hi == 1.0
         assert lo <= res.witness <= hi
+
+    def test_interval_slack_keeps_an_inverted_tight_interval(self):
+        # The closed form's lo, 0.8152754248654704, is 3 ulps above its hi,
+        # 0.8152754248654701. At the slack-lowered rates the written
+        # conditions hold on the 8 floats from 0.8152754248654693 to hi, so
+        # the pair is feasible; with no emptiness slack it would be called
+        # infeasible.
+        src = SourceParams(1.0, 0.3238626911607855)
+        ch = ChannelParams(22.896119639890117, 22.896119639890117, 1.0)
+        pair = DistortionPair(0.10315137559990889, 0.10315137559990889)
+        hi = 0.8152754248654701
+        assert check_feasibility(src, ch, pair) == FeasibilityResult(True, (hi, hi), hi)
+        rates = (joint_rd(src, pair), conditional_rd(src, pair.d1), conditional_rd(src, pair.d2))
+        lowered = [(1.0 - bounds._RATE_SLACK) * r - bounds._RATE_SLACK for r in rates]
+        grid = EveryFloat()
+        first, last = verification._feasible_span(grid, (ch.p1, ch.p2, ch.n0, *lowered))
+        assert (grid[first], grid[last], last - first + 1) == (0.8152754248654693, hi, 8)
 
     def test_asymmetric_power_starvation(self):
         # User 1 has far too little power for a fine description of s1.

@@ -108,3 +108,37 @@ def test_curves_meet_at_rho_tilde_one_at_the_endpoint_threshold():
 def test_a_wrong_threshold_leaves_a_gap():
     # 1 + rho in place of 1 + 2 rho.
     assert not _is_zero(_endpoint_gap(RHO**2 / (2 * (1 - RHO) * (1 + RHO))))
+
+
+# Region B's rate is 0.5 log2((1 - rho^2) / den) with den = d1 d2 - gap^2 and
+# gap = rho - sqrt((1 - d1)(1 - d2)). Region A's is the same with
+# den = d1 d2, and region C's, 0.5 log2(1 / d1), the same with
+# den = (1 - rho^2) d1. So the rates meet on a boundary where the dens do.
+# rho and u = 1 - d1 are positive, so each root takes its sign.
+R, U = symbols("r u", positive=True)
+D1_U = 1 - U
+A_B_BOUNDARY = (1 - R**2 - D1_U) / (1 - D1_U)
+B_C_BOUNDARY = 1 - R**2 + R**2 * D1_U
+
+
+def _region_b_den(d2):
+    """(den, gap) of region B at d1 = 1 - u and the given d2."""
+    gap = R - sympy.sqrt(sympy.factor((1 - D1_U) * (1 - d2)))
+    return D1_U * d2 - gap**2, gap
+
+
+def test_region_b_rate_meets_region_a_rate_on_their_boundary():
+    den, gap = _region_b_den(A_B_BOUNDARY)
+    assert _is_zero(gap)
+    assert _is_zero(den - D1_U * A_B_BOUNDARY)
+
+
+def test_region_b_rate_meets_region_c_rate_on_their_boundary():
+    den, _ = _region_b_den(B_C_BOUNDARY)
+    assert _is_zero(den - (1 - R**2) * D1_U)
+
+
+def test_a_wrong_boundary_leaves_a_jump():
+    # rho in place of rho^2 in the B/C boundary's slope.
+    den, _ = _region_b_den(1 - R**2 + R * D1_U)
+    assert not _is_zero(den - (1 - R**2) * D1_U)
